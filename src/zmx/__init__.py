@@ -31,7 +31,6 @@ from zmx.cyclic import (
     roundtrip_check,
 )
 from zmx.digraph import (
-    PATH_CAP,
     Digraph,
     Path,
     digraph_of,
@@ -42,6 +41,7 @@ from zmx.digraph import (
     to_dot,
 )
 from zmx.errors import (
+    ORDER_CAP,
     MatrixParseError,
     NotInverseCyclicError,
     NotZMatrixError,
@@ -60,7 +60,6 @@ from zmx.matrix import (
 )
 from zmx.verify import CAMPAIGNS, VerifySummary, run_verify
 from zmx.zclass import (
-    ORDER_CAP,
     ClassReport,
     ZRepresentation,
     classify,
@@ -89,7 +88,6 @@ __all__ = [
     "NotZMatrixError",
     "ORDER_CAP",
     "OrderCapError",
-    "PATH_CAP",
     "Path",
     "Rational",
     "SingularMatrixError",

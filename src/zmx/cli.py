@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +32,7 @@ from zmx.cyclic import (
 )
 from zmx.digraph import digraph_of, is_irreducible, is_unipathic, maybee_entry, to_dot
 from zmx.errors import (
+    ORDER_CAP,
     MatrixParseError,
     NotInverseCyclicError,
     NotZMatrixError,
@@ -40,7 +41,7 @@ from zmx.errors import (
 )
 from zmx.matrix import Matrix, inverse
 from zmx.verify import CAMPAIGNS, run_verify
-from zmx.zclass import ORDER_CAP, ClassReport, classify, is_z, perron_r
+from zmx.zclass import ClassReport, classify, is_z, perron_r
 
 _LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
@@ -91,6 +92,8 @@ def _parse_json(text: str) -> Matrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise MatrixParseError("JSON nesting too deep") from None
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise MatrixParseError('JSON matrix needs "n" and "entries" keys')
     n = obj["n"]
@@ -137,6 +140,7 @@ class CyclicInfo:
     is_bdsw: bool
     d: Fraction
     c: Fraction
+    d_minus_c: Fraction
     verdict: str
     inverse: Optional[Matrix]
     inverse_is_z: Optional[bool]
@@ -153,6 +157,7 @@ def gather_info(a: Matrix, cap: int = ORDER_CAP) -> tuple[ClassReport, CyclicInf
         is_bdsw=is_bdsw(a),
         d=d,
         c=c,
+        d_minus_c=d - c,
         verdict=bdsw_sign_classify(a).value,
         inverse=inv,
         inverse_is_z=None if inv is None else is_z(inv),
@@ -167,34 +172,19 @@ def _yn(flag) -> str:
     return "yes" if flag else "no"
 
 
+def _json_value(x):
+    # Fractions as exact strings; a Matrix as its rows, whose Fractions come back here
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, Matrix):
+        return x.rows
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def emit_report(r: ClassReport, info: CyclicInfo, format: str = "text") -> str:
     if format == "json":
-        payload = {
-            "n": r.n,
-            "is_z": r.is_z,
-            "is_nonsingular": r.is_nonsingular,
-            "determinant": str(r.determinant),
-            "irreducible": r.irreducible,
-            "is_m": r.is_m,
-            "is_nonsingular_m": r.is_nonsingular_m,
-            "is_n": r.is_n,
-            "is_n0": r.is_n0,
-            "is_f0": r.is_f0,
-            "l_index": r.l_index,
-            "is_full": info.is_full,
-            "is_inverse_cyclic": info.is_inverse_cyclic,
-            "is_bdsw": info.is_bdsw,
-            "d": str(info.d),
-            "c": str(info.c),
-            "d_minus_c": str(info.d - info.c),
-            "verdict": info.verdict,
-            "inverse": None
-            if info.inverse is None
-            else [[str(x) for x in row] for row in info.inverse.rows],
-            "inverse_is_z": info.inverse_is_z,
-            "inverse_is_bdsw": info.inverse_is_bdsw,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        payload = {f.name: getattr(obj, f.name) for obj in (r, info) for f in fields(obj)}
+        return json.dumps(payload, separators=(",", ":"), default=_json_value)
     lines = [
         f"order: {r.n}",
         f"Z-matrix: {_yn(r.is_z)}",
@@ -205,7 +195,7 @@ def emit_report(r: ClassReport, info: CyclicInfo, format: str = "text") -> str:
         "L-band index: " + ("n/a" if r.l_index is None else str(r.l_index)),
         f"full: {_yn(info.is_full)}   inverse cyclic: {_yn(info.is_inverse_cyclic)}   "
         f"bdsw: {_yn(info.is_bdsw)}",
-        f"d = {info.d}   c = {info.c}   d - c = {info.d - info.c}",
+        f"d = {info.d}   c = {info.c}   d - c = {info.d_minus_c}",
         f"verdict: {info.verdict}",
     ]
     if info.inverse is not None:

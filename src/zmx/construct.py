@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from zmx.errors import ORDER_CAP
 from zmx.matrix import Matrix, inverse
-from zmx.zclass import ORDER_CAP, is_z, l_index
+from zmx.zclass import is_z, l_index
 
 
 def _params(seq, name) -> list[Fraction]:

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from zmx.errors import OrderCapError, SingularMatrixError
+from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
 from zmx.matrix import Matrix, det, principal_minor
-
-PATH_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -36,9 +34,6 @@ class Digraph:
                 raise ValueError(f"edge ({i},{j}) outside vertex range 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", es)
-
-    def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(j for (u, j) in self.edges if u == i))
 
 
 @dataclass(frozen=True)
@@ -110,20 +105,13 @@ def is_irreducible(d: Digraph) -> bool:
     return reaches_all(fwd) and reaches_all(rev)
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise OrderCapError(
-            f"order {n} exceeds the path-enumeration cap {cap}; raise the cap explicitly to proceed"
-        )
-
-
-def enumerate_paths(d: Digraph, i: int, j: int, cap: int = PATH_CAP) -> list[Path]:
+def enumerate_paths(d: Digraph, i: int, j: int, cap: int = ORDER_CAP) -> list[Path]:
     """All simple paths from v_i to v_j, i != j, in shortlex order."""
     if not (1 <= i <= d.n and 1 <= j <= d.n):
         raise ValueError(f"vertices must lie in 1..{d.n}")
     if i == j:
         raise ValueError("path endpoints must differ")
-    _check_cap(d.n, cap)
+    check_order_cap(d.n, cap)
     adj = _adjacency(d)
     found: list[tuple[int, ...]] = []
     trail = [i]
@@ -168,9 +156,9 @@ def _more_than_one_path(adj: list[list[int]], n: int, i: int, j: int) -> bool:
     return walk(i)
 
 
-def is_unipathic(d: Digraph, cap: int = PATH_CAP) -> bool:
+def is_unipathic(d: Digraph, cap: int = ORDER_CAP) -> bool:
     """True when every ordered vertex pair (i, j), i != j, has at most one simple path."""
-    _check_cap(d.n, cap)
+    check_order_cap(d.n, cap)
     adj = _adjacency(d)
     for i in range(1, d.n + 1):
         for j in range(1, d.n + 1):
@@ -179,7 +167,7 @@ def is_unipathic(d: Digraph, cap: int = PATH_CAP) -> bool:
     return True
 
 
-def maybee_entry(a: Matrix, i: int, j: int, cap: int = PATH_CAP) -> Fraction:
+def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     """Entry (i, j) of inverse(a) computed by the path formula.
 
     Diagonal: det A(i) / det A, where A(i) drops row and column i. Off the

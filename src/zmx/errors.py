@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the order cap behind OrderCapError.
 
 Everything derives from ValueError so callers that do not care about the
 distinction can catch one base class.
@@ -19,6 +19,18 @@ class NotInverseCyclicError(ValueError):
 
 class OrderCapError(ValueError):
     """Matrix order exceeds the cap for an exponential enumeration."""
+
+
+# Default order cap shared by the principal-minor sweeps and path enumeration.
+ORDER_CAP = 12
+
+
+def check_order_cap(n: int, cap: int) -> None:
+    """Raise OrderCapError when an exponential enumeration would run at order n > cap."""
+    if n > cap:
+        raise OrderCapError(
+            f"order {n} exceeds the enumeration cap {cap}; raise the cap explicitly to proceed"
+        )
 
 
 class MatrixParseError(ValueError):

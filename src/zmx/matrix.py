@@ -87,17 +87,8 @@ class Matrix:
         i, j = ij
         return self.entry(i, j)
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i - 1]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j - 1] for row in self._rows)
-
     def transpose(self) -> "Matrix":
         return Matrix._wrap(tuple(zip(*self._rows)))
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

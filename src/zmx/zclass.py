@@ -30,17 +30,8 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from zmx.digraph import digraph_of, is_irreducible
-from zmx.errors import NotZMatrixError, OrderCapError
+from zmx.errors import ORDER_CAP, NotZMatrixError, check_order_cap
 from zmx.matrix import Matrix, _bareiss_det, _integer_grid, det
-
-ORDER_CAP = 12
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise OrderCapError(
-            f"order {n} exceeds the principal-minor enumeration cap {cap}"
-        )
 
 
 def is_z(a: Matrix) -> bool:
@@ -99,20 +90,41 @@ def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[i
             yield order, (d > 0) - (d < 0)
 
 
+def _first_bad_minor(
+    a: Matrix, strict: bool = False, max_order: Optional[int] = None
+) -> tuple[Optional[int], Optional[int]]:
+    """The one taxonomy sweep: (order of the first negative minor, order of
+    the first zero minor met before it), each None when there is none.
+
+    Orders are swept ascending and the sweep stops at the first negative
+    minor; with strict it also stops at the first zero minor, for callers
+    that reject zeros anyway.
+    """
+    zero = None
+    for order, s in _minor_signs(a, max_order):
+        if s < 0:
+            return order, zero
+        if s == 0 and zero is None:
+            if strict:
+                return None, order
+            zero = order
+    return None, zero
+
+
 def is_nonsingular_m(a: Matrix, cap: int = ORDER_CAP) -> bool:
     """Z and every principal minor positive."""
     if not is_z(a):
         return False
-    _check_cap(a.n, cap)
-    return all(s > 0 for _, s in _minor_signs(a))
+    check_order_cap(a.n, cap)
+    return _first_bad_minor(a, strict=True) == (None, None)
 
 
 def is_m(a: Matrix, cap: int = ORDER_CAP) -> bool:
     """Z and every principal minor nonnegative (possibly singular M)."""
     if not is_z(a):
         return False
-    _check_cap(a.n, cap)
-    return all(s >= 0 for _, s in _minor_signs(a))
+    check_order_cap(a.n, cap)
+    return _first_bad_minor(a)[0] is None
 
 
 def is_n(a: Matrix, cap: int = ORDER_CAP) -> bool:
@@ -120,29 +132,16 @@ def is_n(a: Matrix, cap: int = ORDER_CAP) -> bool:
     n = a.n
     if n < 2 or not is_z(a):
         return False
-    _check_cap(n, cap)
-    for order, s in _minor_signs(a):
-        if order < n:
-            if s <= 0:
-                return False
-        else:
-            return s < 0
-    raise AssertionError("unreachable")
+    check_order_cap(n, cap)
+    return _first_bad_minor(a, strict=True) == (n, None)
 
 
 def is_n0(a: Matrix, cap: int = ORDER_CAP) -> bool:
     """Z, proper principal minors all nonnegative, det negative."""
     if not is_z(a):
         return False
-    n = a.n
-    _check_cap(n, cap)
-    for order, s in _minor_signs(a):
-        if order < n:
-            if s < 0:
-                return False
-        else:
-            return s < 0
-    raise AssertionError("unreachable")
+    check_order_cap(a.n, cap)
+    return _first_bad_minor(a)[0] == a.n
 
 
 def is_f0(a: Matrix, cap: int = ORDER_CAP) -> bool:
@@ -155,15 +154,8 @@ def is_f0(a: Matrix, cap: int = ORDER_CAP) -> bool:
     n = a.n
     if n < 3 or not is_z(a):
         return False
-    _check_cap(n, cap)
-    found_negative = False
-    for order, s in _minor_signs(a, max_order=n - 1):
-        if order <= n - 2:
-            if s < 0:
-                return False
-        elif s < 0:
-            found_negative = True
-    return found_negative
+    check_order_cap(n, cap)
+    return _first_bad_minor(a, max_order=n - 1)[0] == n - 1
 
 
 def l_index(a: Matrix, cap: int = ORDER_CAP) -> int:
@@ -175,11 +167,9 @@ def l_index(a: Matrix, cap: int = ORDER_CAP) -> int:
     """
     if not is_z(a):
         raise NotZMatrixError("l_index is defined for Z-matrices only")
-    _check_cap(a.n, cap)
-    for order, s in _minor_signs(a):
-        if s < 0:
-            return order - 1
-    return a.n
+    check_order_cap(a.n, cap)
+    neg = _first_bad_minor(a)[0]
+    return a.n if neg is None else neg - 1
 
 
 @dataclass(frozen=True)
@@ -198,7 +188,8 @@ class ClassReport:
 
 
 def classify(a: Matrix, cap: int = ORDER_CAP) -> ClassReport:
-    """Full taxonomy report in one minor sweep.
+    """Full taxonomy report from one minor sweep, which stops at the first
+    negative minor.
 
     Non-Z input still gets determinant, nonsingularity and irreducibility;
     the class flags are False and l_index is None there.
@@ -208,37 +199,27 @@ def classify(a: Matrix, cap: int = ORDER_CAP) -> ClassReport:
     n = a.n
     if not is_z(a):
         return ClassReport(n, False, d != 0, d, irr, False, False, False, False, False, None)
-    _check_cap(n, cap)
-    has_neg = [False] * (n + 1)
-    has_zero = [False] * (n + 1)
-    for order, s in _minor_signs(a):
-        if s < 0:
-            has_neg[order] = True
-        elif s == 0:
-            has_zero[order] = True
-    min_neg = next((k for k in range(1, n + 1) if has_neg[k]), None)
-    li = n if min_neg is None else min_neg - 1
-    proper_nonneg = not any(has_neg[1:n])
-    proper_pos = proper_nonneg and not any(has_zero[1:n])
+    check_order_cap(n, cap)
+    neg, zero = _first_bad_minor(a)
     return ClassReport(
         n=n,
         is_z=True,
         is_nonsingular=d != 0,
         determinant=d,
         irreducible=irr,
-        is_m=min_neg is None,
-        is_nonsingular_m=min_neg is None and not any(has_zero),
-        is_n=n >= 2 and proper_pos and d < 0,
-        is_n0=proper_nonneg and d < 0,
-        is_f0=n >= 3 and not any(has_neg[1 : n - 1]) and has_neg[n - 1],
-        l_index=li,
+        is_m=neg is None,
+        is_nonsingular_m=neg is None and zero is None,
+        is_n=n >= 2 and neg == n and zero is None,
+        is_n0=neg == n,
+        is_f0=n >= 3 and neg == n - 1,
+        l_index=n if neg is None else neg - 1,
     )
 
 
 def _is_weak_m_shift(bhat: Matrix, t: Fraction) -> bool:
     # tI - bhat is a Z-matrix for any nonnegative bhat
     shifted = t * Matrix.identity(bhat.n) - bhat
-    return all(s >= 0 for _, s in _minor_signs(shifted))
+    return _first_bad_minor(shifted)[0] is None
 
 
 def _rho_bisect(bhat: Matrix, tol: Fraction) -> Fraction:
@@ -268,7 +249,7 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
     by minor signs alone, no eigenvalue computation.
     """
     n = b.n
-    _check_cap(n, cap)
+    check_order_cap(n, cap)
     if not (1 <= r <= n):
         raise ValueError(f"submatrix order r = {r} outside 1..{n}")
     if any(x < 0 for row in b.rows for x in row):

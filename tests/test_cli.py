@@ -3,13 +3,16 @@ behavior and exit codes. End-to-end calls go through main(argv) in-process;
 one subprocess check covers the python -m entry point."""
 
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import zmx
 from zmx import Matrix, MatrixParseError
 from zmx.cli import (
     emit_report,
@@ -95,6 +98,7 @@ def test_parse_json_errors():
     parse_error('{"n": 1, "entries": [[1.5]]}')
     parse_error('{"n": 1, "entries": [[true]]}')
     parse_error('{"n": 1, "entries": [["x"]]}')
+    parse_error('{"n":' + "[" * 100_000)  # nesting past the recursion limit
 
 
 def test_serialize_round_trips():
@@ -120,6 +124,12 @@ def test_json_report_is_compact_and_stable():
     assert '"d":"1"' in blob and '"c":"0"' in blob
     assert " " not in blob.split('"determinant"')[0]
     parsed = json.loads(blob)
+    assert list(parsed) == [
+        "n", "is_z", "is_nonsingular", "determinant", "irreducible", "is_m",
+        "is_nonsingular_m", "is_n", "is_n0", "is_f0", "l_index", "is_full",
+        "is_inverse_cyclic", "is_bdsw", "d", "c", "d_minus_c", "verdict",
+        "inverse", "inverse_is_z", "inverse_is_bdsw",
+    ]
     assert parsed["inverse"] == [["1", "0"], ["0", "1"]]
 
 
@@ -208,6 +218,9 @@ def test_parse_and_io_failures_exit_2(tmp_path, capsys):
     assert "parse error" in err and "line 3" in err
     assert main(["classify", str(tmp_path / "missing.txt")]) == 2
     assert "error:" in capsys.readouterr().err
+    deep = write(tmp_path, "deep.json", '{"n":' + "[" * 100_000)
+    assert main(["classify", deep]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_digraph_command(tmp_path, capsys):
@@ -312,12 +325,17 @@ def test_order_cap_env(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same zmx as this process, installed or not
+    src = str(Path(zmx.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "zmx", "classify", "-"],
         input=A3_TEXT,
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     assert "verdict: Neither" in proc.stdout

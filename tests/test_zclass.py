@@ -7,10 +7,14 @@ the two characterizations stay independently verified.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zmx import (
+    ORDER_CAP,
     Matrix,
     NotZMatrixError,
     OrderCapError,
@@ -23,12 +27,17 @@ from zmx import (
     is_n,
     is_n0,
     is_nonsingular_m,
+    is_unipathic,
     is_z,
     l_index,
+    maybee_entry,
     perron_r,
+    principal_minor,
     type_d,
+    type_d_verify,
     z_decompose,
 )
+from zmx import zclass
 from zmx.sampling import random_z
 
 
@@ -179,6 +188,24 @@ def test_order_cap_enforced():
     with pytest.raises(OrderCapError):
         perron_r(Matrix.zeros(3), 1, cap=2)
     assert is_m(a, cap=3)
+    # every capped entry point defaults to the one shared cap
+    big = Matrix.identity(ORDER_CAP + 1)
+    capped = [
+        lambda: is_m(big),
+        lambda: is_nonsingular_m(big),
+        lambda: is_n(big),
+        lambda: is_n0(big),
+        lambda: is_f0(big),
+        lambda: l_index(big),
+        lambda: classify(big),
+        lambda: perron_r(big, 1),
+        lambda: type_d_verify(range(1, ORDER_CAP + 2)),
+        lambda: is_unipathic(digraph_of(big)),
+        lambda: maybee_entry(big, 1, 2),
+    ]
+    for call in capped:
+        with pytest.raises(OrderCapError):
+            call()
 
 
 TOL = Fraction(1, 10**9)
@@ -263,3 +290,71 @@ def test_classify_agrees_with_predicates_and_invariants():
         if r.is_f0:
             assert r.l_index == n - 2
         assert sum([r.is_nonsingular_m, r.is_n0, r.is_f0]) <= 1
+
+
+@st.composite
+def small_z(draw):
+    # diagonal 0..4 and off-diagonal 0, -1, -2 make zero minors common
+    n = draw(st.integers(1, 6))
+    return mk([
+        [draw(st.integers(0, 4)) if i == j else draw(st.sampled_from((0, -1, -2)))
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_z())
+def test_taxonomy_matches_brute_force_minors(a):
+    n = a.n
+    minors = {
+        k: [principal_minor(a, c) for c in combinations(range(1, n + 1), k)]
+        for k in range(1, n + 1)
+    }
+    proper = [x for k in range(1, n) for x in minors[k]]
+    det_a = minors[n][0]
+    negative_orders = [k for k in minors if any(x < 0 for x in minors[k])]
+    want = {
+        "is_m": not negative_orders,
+        "is_nonsingular_m": all(x > 0 for k in minors for x in minors[k]),
+        "is_n": n >= 2 and all(x > 0 for x in proper) and det_a < 0,
+        "is_n0": all(x >= 0 for x in proper) and det_a < 0,
+        "is_f0": n >= 3
+        and all(x >= 0 for k in range(1, n - 1) for x in minors[k])
+        and any(x < 0 for x in minors[n - 1]),
+        "l_index": negative_orders[0] - 1 if negative_orders else n,
+    }
+    got = {
+        "is_m": is_m(a),
+        "is_nonsingular_m": is_nonsingular_m(a),
+        "is_n": is_n(a),
+        "is_n0": is_n0(a),
+        "is_f0": is_f0(a),
+        "l_index": l_index(a),
+    }
+    assert got == want
+    r = classify(a)
+    assert {name: getattr(r, name) for name in want} == want
+
+
+def test_sweeps_stop_at_the_first_deciding_minor(monkeypatch):
+    seen = []
+    sweep = zclass._minor_signs
+
+    def counted(a, max_order=None):
+        for item in sweep(a, max_order):
+            seen.append(item)
+            yield item
+
+    monkeypatch.setattr(zclass, "_minor_signs", counted)
+    # a_11 = 0 and the leading 2x2 minor is -1
+    a = mk([[0, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    for strict_view in (is_nonsingular_m, is_n):
+        seen.clear()
+        assert not strict_view(a)
+        assert seen == [(1, 0)]
+    seen.clear()
+    r = classify(a)
+    assert r.l_index == 1 and not r.is_m
+    # the three order-1 minors, then the first order-2 minor, which is negative
+    assert seen == [(1, 0), (1, 1), (1, 1), (2, -1)]
