@@ -150,7 +150,7 @@ class CyclicInfo:
 def gather_info(a: Matrix, cap: int = ORDER_CAP) -> tuple[ClassReport, CyclicInfo]:
     report = classify(a, cap=cap)
     d, c = cyclic_products(a)
-    inv = inverse(a) if report.is_nonsingular and a.n <= cap else None
+    inv = inverse(a) if report.is_nonsingular else None
     info = CyclicInfo(
         is_full=is_full(a),
         is_inverse_cyclic=is_inverse_cyclic(a),
@@ -402,10 +402,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MatrixParseError as exc:
-        where = ""
-        if exc.line is not None:
-            where = f" (line {exc.line}" + (f", column {exc.column})" if exc.column else ")")
-        print(f"parse error: {exc}{where}", file=sys.stderr)
+        print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (SingularMatrixError, NotInverseCyclicError, NotZMatrixError, OrderCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from zmx.errors import ORDER_CAP
+from zmx.errors import ORDER_CAP, check_order_cap
 from zmx.matrix import Matrix, inverse
 from zmx.zclass import is_z, l_index
 
@@ -132,6 +132,7 @@ def type_d_verify(a: Sequence, cap: int = ORDER_CAP) -> TypeDVerification:
     p = _params(a, "a")
     if p and p[0] == 0:
         raise ValueError("a_1 must be nonzero, the matrix would be singular")
+    check_order_cap(len(p), cap)
     m = type_d(p)
     inv = inverse(m)
     tri = is_tridiagonal(inv)

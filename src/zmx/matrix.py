@@ -5,11 +5,11 @@ door so no result in this module is ever approximate. The public API is
 1-based: A[i, j] is the entry in row i, column j for 1 <= i, j <= n, matching
 the convention used in the docs, error messages and the CLI formats.
 
-Determinants clear denominators once and run fraction-free Bareiss
-elimination over plain integers (det A = det(L*A) / L^n for the lcm L of the
-entry denominators). The inverse is assembled from integer cofactors of the
-same scaled matrix, which keeps the arithmetic in int until the final exact
-division.
+Determinants and inverses clear denominators once and run one fraction-free
+Bareiss elimination over plain integers (det A = det(L*A) / L^n for the lcm L
+of the entry denominators). The inverse runs the same elimination, Gauss-Jordan
+style, on the augmented grid [L*A | L*I], which keeps the arithmetic in int
+until the final exact division.
 """
 
 from __future__ import annotations
@@ -129,17 +129,19 @@ class Matrix:
         if isinstance(other, Matrix):
             if other.n != self.n:
                 raise ValueError("matrix orders differ")
+            # each output row sums the rows of other scaled by the nonzero
+            # entries of the left row, so a sparse factor costs its nonzeros
+            brows = other._rows
+            bnz = [[j for j, b in enumerate(brow) if b] for brow in brows]
             zero = Fraction(0)
-            bcols = tuple(zip(*other._rows))
             out = []
             for arow in self._rows:
-                orow = []
-                for bcol in bcols:
-                    s = zero
-                    for a, b in zip(arow, bcol):
-                        if a and b:
-                            s += a * b
-                    orow.append(s)
+                orow = [zero] * self.n
+                for k, a in enumerate(arow):
+                    if a:
+                        brow = brows[k]
+                        for j in bnz[k]:
+                            orow[j] += a * brow[j]
                 out.append(tuple(orow))
             return Matrix._wrap(tuple(out))
         if isinstance(other, (int, Fraction)):
@@ -217,12 +219,20 @@ def _integer_grid(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[in
     return lcm, grid
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix. Destroys m."""
+def _bareiss(m: list[list[int]]) -> int:
+    """Fraction-free Bareiss elimination of the left n x n block of the n x w
+    integer grid m, in place. Returns that block's determinant.
+
+    With w = n only the rows below each pivot are reduced, which is all the
+    determinant needs. With w > n every row is reduced, Gauss-Jordan style,
+    and for a nonsingular block the right block R ends as p * block^-1 * R,
+    where p = m[-1][n-1] is the last pivot.
+    """
     n = len(m)
+    w = len(m[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for r in range(k + 1, n):
                 if m[r][k] != 0:
@@ -231,23 +241,25 @@ def _bareiss_det(m: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = m[k][k]
         row_k = m[k]
-        for i in range(k + 1, n):
+        pivot = row_k[k]
+        for i in range(0 if w > n else k + 1, n):
+            if i == k:
+                continue
             row_i = m[i]
             factor = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, w):
                 # exact division, a Bareiss invariant
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[-1][-1]
+    return sign * m[-1][n - 1]
 
 
 def det(a: Matrix) -> Fraction:
     """Exact determinant."""
     lcm, grid = _integer_grid(a.rows)
-    d = _bareiss_det(grid)
+    d = _bareiss(grid)
     if lcm == 1:
         return Fraction(d)
     return Fraction(d, lcm ** a.n)
@@ -257,23 +269,12 @@ def inverse(a: Matrix) -> Matrix:
     """Exact inverse. Raises SingularMatrixError when det(a) = 0."""
     n = a.n
     lcm, grid = _integer_grid(a.rows)
-    d = _bareiss_det([row[:] for row in grid])
-    if d == 0:
+    for i, row in enumerate(grid):
+        row.extend(lcm if j == i else 0 for j in range(n))
+    if _bareiss(grid) == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
-    if n == 1:
-        return Matrix._wrap(((Fraction(lcm, d),),))
-    out: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    rng = range(n)
-    for i in rng:
-        sub_rows = [grid[r] for r in rng if r != i]
-        for j in rng:
-            minor = [[row[c] for c in rng if c != j] for row in sub_rows]
-            cof = _bareiss_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            # adjugate transposes the cofactor grid
-            out[j][i] = Fraction(cof * lcm, d)
-    return Matrix._wrap(tuple(tuple(row) for row in out))
+    pivot = grid[-1][n - 1]
+    return Matrix._wrap(tuple(tuple(Fraction(x, pivot) for x in row[n:]) for row in grid))
 
 
 def submatrix(a: Matrix, row_idx: Union[IndexSet, Iterable[int]], col_idx: Union[IndexSet, Iterable[int]]) -> Matrix:

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 from zmx.digraph import digraph_of, is_irreducible
 from zmx.errors import ORDER_CAP, NotZMatrixError, check_order_cap
-from zmx.matrix import Matrix, _bareiss_det, _integer_grid, det
+from zmx.matrix import Matrix, _bareiss, _integer_grid, det
 
 
 def is_z(a: Matrix) -> bool:
@@ -86,7 +86,7 @@ def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[i
             continue
         for combo in combinations(range(n), order):
             sub = [[grid[r][c] for c in combo] for r in combo]
-            d = _bareiss_det(sub)
+            d = _bareiss(sub)
             yield order, (d > 0) - (d < 0)
 
 

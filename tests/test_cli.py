@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import zmx
-from zmx import Matrix, MatrixParseError
+from zmx import ORDER_CAP, Matrix, MatrixParseError, inverse, type_d
 from zmx.cli import (
     emit_report,
     gather_info,
@@ -133,6 +133,14 @@ def test_json_report_is_compact_and_stable():
     assert parsed["inverse"] == [["1", "0"], ["0", "1"]]
 
 
+def test_report_inverts_non_z_matrices_above_the_cap():
+    # the order cap bounds minor sweeps only; a non-Z matrix needs no sweep
+    a = type_d(range(1, ORDER_CAP + 2))
+    report, info = gather_info(a)
+    assert not report.is_z and report.is_nonsingular
+    assert info.inverse == inverse(a)
+
+
 def test_json_report_verdicts():
     report, info = gather_info(parse_matrix(P5_TEXT))
     blob = emit_report(report, info, "json")
@@ -215,7 +223,7 @@ def test_parse_and_io_failures_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "2\n1 2\n3 x\n")
     assert main(["classify", bad]) == 2
     err = capsys.readouterr().err
-    assert "parse error" in err and "line 3" in err
+    assert "parse error" in err and err.count("(line 3, column 3)") == 1
     assert main(["classify", str(tmp_path / "missing.txt")]) == 2
     assert "error:" in capsys.readouterr().err
     deep = write(tmp_path, "deep.json", '{"n":' + "[" * 100_000)

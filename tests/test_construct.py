@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from zmx import (
+    ORDER_CAP,
     Matrix,
+    OrderCapError,
     Verdict,
     bdsw_matrix,
     bdsw_sign_classify,
@@ -80,6 +82,15 @@ def test_type_d_verify_goldens():
 
     with pytest.raises(ValueError):
         type_d_verify([0, 1, 2])
+
+
+def test_type_d_verify_checks_the_cap_before_inverting(monkeypatch):
+    def no_inverse(m):
+        raise AssertionError("inverse ran before the order cap check")
+
+    monkeypatch.setattr("zmx.construct.inverse", no_inverse)
+    with pytest.raises(OrderCapError):
+        type_d_verify(range(1, ORDER_CAP + 2))
 
 
 def test_type_d_verify_l_index_tracks_nonpositive_count():

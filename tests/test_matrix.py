@@ -1,15 +1,23 @@
 """Matrix layer: exact scalars, determinants, inverses, minors.
 
-The determinant here is Bareiss elimination over a cleared-denominator
-integer grid, and the inverse goes through cofactors. Both are checked
-against slower textbook routines written independently in this file
-(first-row cofactor expansion, Gauss-Jordan with fraction pivoting).
+The determinant and the inverse share one fraction-free Bareiss elimination
+over a cleared-denominator integer grid. Both are checked against slower
+textbook routines written independently in this file (first-row cofactor
+expansion, Gauss-Jordan with fraction pivoting, the adjugate of cofactor
+determinants), and against sympy when it is installed.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 from zmx import (
     IndexSet,
@@ -78,6 +86,67 @@ def gauss_jordan_inverse(a):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return Matrix([row[n:] for row in aug])
+
+
+def cofactor_inverse(a):
+    """Reference inverse: the adjugate of cofactor determinants, over det(a)."""
+    d = det(a)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular, no inverse exists")
+    n = a.n
+    if n == 1:
+        return Matrix([[1 / d]])
+    idx = range(1, n + 1)
+
+    def cofactor(i, j):
+        m = det(submatrix(a, [r for r in idx if r != i], [c for c in idx if c != j]))
+        return -m if (i + j) % 2 else m
+
+    # the adjugate transposes the cofactor grid
+    return Matrix([[cofactor(j, i) / d for j in idx] for i in idx])
+
+
+def triple_loop_product(a, b):
+    """Reference product: the textbook sum over k for every entry."""
+    n = a.n
+    return Matrix([
+        [sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), Fraction(0))
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+# zero-heavy small rationals, so zero leading pivots, row swaps and singular
+# matrices are common
+SMALL = st.builds(
+    Fraction, st.sampled_from((0, 0, 0, 1, -1, 2, -3)), st.sampled_from((1, 2, 3, 5, 7))
+)
+NONZERO = st.builds(
+    Fraction, st.sampled_from((1, -1, 2, -3, 4)), st.sampled_from((1, 2, 3, 5, 7))
+)
+
+
+def square(draw, n, entries, pattern=lambda i, j: True):
+    return Matrix([[draw(entries) if pattern(i, j) else 0 for j in range(n)]
+                   for i in range(n)])
+
+
+@st.composite
+def zero_heavy_pair(draw):
+    n = draw(st.integers(1, 7))
+    return square(draw, n, SMALL), square(draw, n, SMALL)
+
+
+def on_bdsw(n):
+    return lambda i, j: j == i or j == i + 1 or (i == n - 1 and j == 0)
+
+
+@st.composite
+def mul_operands(draw):
+    n = draw(st.integers(1, 7))
+    # bdsw-patterned, dense and zero-heavy operands
+    kinds = [(NONZERO, on_bdsw(n)), (NONZERO,), (SMALL,)]
+    return [square(draw, n, *draw(st.sampled_from(kinds))) for _ in range(2)]
 
 
 def random_rows(rng, n):
@@ -184,6 +253,50 @@ def test_inverse_matches_gauss_jordan_and_roundtrips():
         assert b * a == Matrix.identity(n)
         assert inverse(b) == a
         assert det(a) * det(b) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_heavy_pair())
+def test_inverse_matches_cofactor_oracle(pair):
+    a, b = pair
+    try:
+        want = cofactor_inverse(a)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            inverse(a)
+    else:
+        assert inverse(a) == want
+        assert inverse(inverse(a)) == a
+    assert det(a * b) == det(a) * det(b)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=100, deadline=None)
+@given(zero_heavy_pair())
+def test_det_and_inverse_match_sympy(pair):
+    a, _ = pair
+    s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in a.rows])
+
+    def frac(r):
+        return Fraction(int(r.p), int(r.q))
+
+    d = frac(s.det())
+    assert det(a) == d
+    if d == 0:
+        with pytest.raises(SingularMatrixError):
+            inverse(a)
+    else:
+        assert inverse(a).rows == tuple(tuple(frac(x) for x in row)
+                                        for row in s.inv().tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(mul_operands())
+def test_mul_matches_triple_loop(operands):
+    a, b = operands
+    assert a * b == triple_loop_product(a, b)
+    assert b * a == triple_loop_product(b, a)
 
 
 def test_inverse_of_singular_raises():
