@@ -53,19 +53,21 @@ def is_full(a: Matrix) -> bool:
 
 
 def is_inverse_cyclic(a: Matrix) -> bool:
-    """Check the case-equations directly (in product form, no division)."""
+    """Check the case-equations directly (in product form, no division), in
+    O(n^2): with a nonzero diagonal the upper-triangle equations through
+    k = j - 1 make each a_ij (i < j) the product of the hops from i to j,
+    which satisfies the equation through every i < k < j."""
     n = a.n
     rows = a.rows
     if any(rows[i][i] == 0 for i in range(n)):
         return False
-    # upper triangle through any intermediate k: a_ij * a_kk == a_ik * a_kj
-    for i in range(n):
-        for k in range(i + 1, n):
-            akk = rows[k][k]
-            aik = rows[i][k]
-            for j in range(k + 1, n):
-                if rows[i][j] * akk != aik * rows[k][j]:
-                    return False
+    # upper triangle through k = j - 1: a_ij * a_kk == a_ik * a_kj
+    for k in range(1, n - 1):
+        akk = rows[k][k]
+        akj = rows[k][k + 1]
+        for i in range(k):
+            if rows[i][k + 1] * akk != rows[i][k] * akj:
+                return False
     # lower triangle rides through vertex n: a_ij * a_nn == a_in * a_nj
     last = n - 1
     ann = rows[last][last]
@@ -127,24 +129,20 @@ def cyclic_inverse(a: Matrix) -> Matrix:
     n = a.n
     rows = a.rows
     e = d - c
-    diag = [rows[i][i] for i in range(n)]
+    # pre[i] and suf[i]: products of the diagonal before and from index i
+    pre = [Fraction(1)]
+    suf = [Fraction(1)]
+    for i in range(n):
+        pre.append(pre[-1] * rows[i][i])
+        suf.append(suf[-1] * rows[n - 1 - i][n - 1 - i])
+    suf.reverse()
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        p = Fraction(1)
-        for k in range(n):
-            if k != i:
-                p *= diag[k]
-        out[i][i] = p / e
-    def offdiag(i, j):
-        p = rows[i][j]
-        for k in range(n):
-            if k != i and k != j:
-                p *= diag[k]
-        return -p / e
+        out[i][i] = pre[i] * suf[i + 1] / e
     for i in range(n - 1):
-        out[i][i + 1] = offdiag(i, i + 1)
+        out[i][i + 1] = -rows[i][i + 1] * pre[i] * suf[i + 2] / e
     if n >= 2:
-        out[n - 1][0] = offdiag(n - 1, 0)
+        out[n - 1][0] = -rows[n - 1][0] * (pre[n - 1] / rows[0][0]) / e
     b = Matrix(out)
     ident = Matrix.identity(n)
     if a * b != ident or b * a != ident:

@@ -150,6 +150,55 @@ def test_is_inverse_cyclic_cases():
     assert not is_inverse_cyclic(mk([[0, 1], [1, 1]]))  # zero diagonal
 
 
+def every_case_equation_holds(a):
+    """The case-equations in product form, the upper triangle through every
+    intermediate k: the O(n^3) reference for is_inverse_cyclic."""
+    n = a.n
+    e = a.entry
+    if any(e(i, i) == 0 for i in range(1, n + 1)):
+        return False
+    upper = all(e(i, j) * e(k, k) == e(i, k) * e(k, j)
+                for i, k, j in combinations(range(1, n + 1), 3))
+    lower = all(e(i, j) * e(n, n) == e(i, n) * e(n, j)
+                for i in range(1, n) for j in range(1, i))
+    last = all(e(n, j) * e(1, 1) == e(n, 1) * e(1, j) for j in range(2, n))
+    return upper and lower and last
+
+
+def test_is_inverse_cyclic_matches_every_case_equation():
+    rng = random.Random(60221)
+    hits = misses = 0
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        if n >= 2 and trial % 2:
+            a = random_inverse_cyclic(rng, n)  # zeros allowed in sup and corner
+            if trial % 4 == 1:
+                rows = [list(row) for row in a.rows]
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] = rng.choice((Fraction(0), rows[i][j] * 2, Fraction(1, 3)))
+                a = Matrix(rows)
+        else:
+            # zero-heavy, with a nonzero diagonal so the equations decide
+            a = Matrix([[Fraction(rng.choice((1, 2, -1, 3)), rng.choice((1, 2))) if i == j
+                         else Fraction(rng.choice((0, 0, 0, 1, -2)))
+                         for j in range(n)] for i in range(n)])
+        want = every_case_equation_holds(a)
+        assert is_inverse_cyclic(a) == want
+        hits += want
+        misses += not want
+    assert hits >= 100 and misses >= 100
+
+
+def test_cyclic_inverse_matches_general_inverse():
+    rng = random.Random(1729)
+    for _ in range(40):
+        a = random_inverse_cyclic(rng, rng.randint(2, 9))
+        d, c = cyclic_products(a)
+        if d != c:
+            assert cyclic_inverse(a) == inverse(a)
+    assert cyclic_inverse(mk([[Fraction(-3, 2)]])) == mk([[Fraction(-2, 3)]])
+
+
 def test_cyclic_products_goldens():
     assert cyclic_products(A3) == (Fraction(-1), Fraction(-2))
     assert cyclic_products(P5) == (Fraction(512), Fraction(256))
