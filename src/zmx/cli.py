@@ -310,7 +310,7 @@ def _cmd_verify(args) -> int:
 def _cmd_perron(args) -> int:
     b = parse_matrix(_read_input(args.file))
     tol = _literal(args.tol)
-    v = perron_r(b, args.r, tol)
+    v = perron_r(b, args.r, tol, cap=args.cap)
     print(f"r: {args.r}")
     print(f"bound: {v}")
     print(f"bracket: ({v - tol}, {v}]")

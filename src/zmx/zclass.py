@@ -16,10 +16,13 @@ principal minors, which are exact over Fraction.
 l_index(A) = s locates the band: s = (minimal order of a negative principal
 minor) - 1, or n when no minor is negative (s = n is M, s = n-1 is N0,
 s = n-2 is F0). Minor enumeration is exponential, so these functions carry a
-hard order cap; exceeding it raises OrderCapError. The perron_r bisection
-pins the band thresholds themselves: the largest spectral radius over
-order-r principal submatrices of a nonnegative B, to any requested rational
-tolerance, using only the minor test "tI - Bhat is weakly M iff t >= rho(Bhat)".
+hard order cap; exceeding it raises OrderCapError. The sweep shares work
+between nested index sets: each minor is O(1) integer work, read off its
+parent set's Bareiss-reduced grid, plus one fraction-free grid step per set.
+The perron_r bisection pins the band thresholds themselves: the largest
+spectral radius over order-r principal submatrices of a nonnegative B, to
+any requested rational tolerance, using only the minor test "tI - Bhat is
+weakly M iff t >= rho(Bhat)".
 """
 
 from __future__ import annotations
@@ -70,24 +73,47 @@ def z_decompose(a: Matrix, t) -> ZRepresentation:
 
 
 def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[int, int]]:
-    """Yield (order, sign) for every principal minor, orders ascending.
+    """Yield (order, sign) for every principal minor: orders ascending, and
+    within an order the index sets in combinations order.
 
     Signs are computed on the denominator-cleared integer matrix; scaling by
-    a positive integer never changes a minor's sign.
+    a positive integer never changes a minor's sign. Each index set S keeps
+    its Bareiss-reduced grid over the indices after max(S), whose entry
+    (i, j) is det A[S+i | S+j] by Sylvester's identity. The minor of S+p is
+    that grid's diagonal entry at p, and one fraction-free step, divided by
+    det A[S], gives the grid of S+p. The step is undefined below a zero
+    minor, so sets there are eliminated from scratch. A level's grids are
+    built only once the next order is asked for.
     """
     n = a.n
     _, grid = _integer_grid(a.rows)
     top = n if max_order is None else min(max_order, n)
+    # (index set, its grid or None, its minor) for the sets that have children
+    level = [((), grid, 1)]
     for order in range(1, top + 1):
-        if order == 1:
-            for i in range(n):
-                d = grid[i][i]
-                yield 1, (d > 0) - (d < 0)
-            continue
-        for combo in combinations(range(n), order):
-            sub = [[grid[r][c] for c in combo] for r in combo]
-            d = _bareiss(sub)
-            yield order, (d > 0) - (d < 0)
+        grown = []
+        for s, m, d in level:
+            lo = s[-1] + 1 if s else 0
+            for p in range(lo, n):
+                t = s + (p,)
+                if m is None:
+                    minor = _bareiss([[grid[r][c] for c in t] for r in t])
+                else:
+                    minor = m[p - lo][p - lo]
+                yield order, (minor > 0) - (minor < 0)
+                if p + 1 < n:
+                    grown.append((t, m if d else None, d, minor))
+        if order == top:
+            return
+        level = []
+        for t, m, d, minor in grown:
+            if m is not None:
+                # m spans the last len(m) indices; t's last index is row k
+                k = t[-1] + len(m) - n
+                rk = m[k]
+                m = [[(ri[j] * minor - ri[k] * rk[j]) // d for j in range(k + 1, len(m))]
+                     for ri in m[k + 1:]]
+            level.append((t, m, minor))
 
 
 def _first_bad_minor(

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import zmx
-from zmx import ORDER_CAP, Matrix, MatrixParseError, inverse, type_d
+from zmx import ORDER_CAP, Matrix, MatrixParseError, bdsw_matrix, inverse, type_d
 from zmx.cli import (
     emit_report,
     gather_info,
@@ -330,6 +330,33 @@ def test_order_cap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ZMX_ORDER_CAP", "12")
     assert main(["classify", z3]) == 0
     capsys.readouterr()
+
+
+def test_order_cap_env_raises_the_cap_for_every_command(tmp_path, capsys, monkeypatch):
+    n = ORDER_CAP + 1
+    positive = write(tmp_path, "d.txt", serialize_matrix(type_d(range(1, n + 1))))
+    z = write(tmp_path, "i.txt", serialize_matrix(Matrix.identity(n)))
+    b = bdsw_matrix([2] * n, [-1] * (n - 1), -1)
+    sparse = write(tmp_path, "b.txt", serialize_matrix(b))
+
+    assert main(["perron", "--r", "1", positive]) == 1
+    assert "cap" in capsys.readouterr().err
+    assert main(["classify", z]) == 1
+    assert "cap" in capsys.readouterr().err
+    assert main(["digraph", sparse]) == 0
+    assert "unipathic: n/a" in capsys.readouterr().out
+
+    monkeypatch.setenv("ZMX_ORDER_CAP", str(n))
+    assert main(["perron", "--r", "1", positive]) == 0
+    assert f"decimal: {n}" in capsys.readouterr().out
+    assert main(["classify", positive]) == 0
+    assert "Z-matrix: no" in capsys.readouterr().out
+    assert main(["classify", z]) == 0
+    assert "nonsingular M: yes" in capsys.readouterr().out
+    assert main(["invert", "--method", "maybee", sparse]) == 0
+    assert parse_matrix(capsys.readouterr().out) == inverse(b)
+    assert main(["digraph", sparse]) == 0
+    assert "unipathic: yes" in capsys.readouterr().out
 
 
 def test_module_entry_point_runs():

@@ -8,6 +8,7 @@ the two characterizations stay independently verified.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from zmx import (
     z_decompose,
 )
 from zmx import zclass
+from zmx.matrix import _bareiss, _integer_grid
 from zmx.sampling import random_z
 
 
@@ -293,9 +295,9 @@ def test_classify_agrees_with_predicates_and_invariants():
 
 
 @st.composite
-def small_z(draw):
+def small_z(draw, max_n=6):
     # diagonal 0..4 and off-diagonal 0, -1, -2 make zero minors common
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     return mk([
         [draw(st.integers(0, 4)) if i == j else draw(st.sampled_from((0, -1, -2)))
          for j in range(n)]
@@ -358,3 +360,71 @@ def test_sweeps_stop_at_the_first_deciding_minor(monkeypatch):
     assert r.l_index == 1 and not r.is_m
     # the three order-1 minors, then the first order-2 minor, which is negative
     assert seen == [(1, 0), (1, 1), (1, 1), (2, -1)]
+
+
+@st.composite
+def zero_heavy(draw):
+    # numerators mostly 0 and denominators in {1, 2, 3}; about half the
+    # draws are Z-matrices, the rest have positive off-diagonal entries too
+    n = draw(st.integers(1, 9))
+    entry = st.builds(Fraction, st.sampled_from((0, 0, 0, 1, -1, 2, -3)),
+                      st.sampled_from((1, 2, 3)))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[x if i == j else -abs(x) for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return mk(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_heavy())
+def test_minor_sweep_matches_per_subset_elimination(a):
+    n = a.n
+    _, grid = _integer_grid(a.rows)
+    want = []
+    for k in range(1, n + 1):
+        for c in combinations(range(n), k):
+            d = _bareiss([[grid[r][q] for q in c] for r in c])
+            want.append((k, (d > 0) - (d < 0)))
+    for max_order in (None, *range(n + 2)):
+        top = n if max_order is None else max_order
+        assert list(zclass._minor_signs(a, max_order)) == [w for w in want if w[0] <= top]
+
+
+def test_minor_sweep_eliminates_only_below_a_zero_minor(monkeypatch):
+    # records the top-left entry of every sub-grid eliminated from scratch
+    corners = []
+    bareiss = zclass._bareiss
+
+    def counted(m):
+        corners.append(m[0][0])
+        return bareiss(m)
+
+    monkeypatch.setattr(zclass, "_bareiss", counted)
+    n = 10
+    # strictly diagonally dominant Z-matrix: every principal minor is positive
+    rows = [[n if i == j else -((i * j + 1) % 2) for j in range(n)] for i in range(n)]
+    assert list(zclass._minor_signs(mk(rows))) == [
+        (k, 1) for k in range(1, n + 1) for _ in combinations(range(n), k)
+    ]
+    assert corners == []
+    # with a_11 = 0 only the sets of order >= 3 through index 1 lie below a
+    # zero minor, and the diagonal of A is 0 nowhere else
+    rows[0][0] = 0
+    list(zclass._minor_signs(mk(rows)))
+    assert corners == [0] * sum(comb(n - 1, k - 1) for k in range(3, n + 1))
+
+
+@st.composite
+def z_and_permutation(draw):
+    a = draw(small_z(max_n=7))
+    return a, draw(st.permutations(range(a.n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_and_permutation())
+def test_classify_is_invariant_under_permutation(case):
+    a, perm = case
+    rows = a.rows
+    pap = Matrix._wrap(tuple(tuple(rows[i][j] for j in perm) for i in perm))
+    assert classify(pap) == classify(a)
