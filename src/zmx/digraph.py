@@ -5,7 +5,9 @@ exactly when a_ij != 0; loops count. Irreducibility of A is strong
 connectivity of D(A), with n = 1 irreducible by convention. Path enumeration
 is exhaustive DFS over simple paths, so it carries a hard order cap (the
 dense worst case is factorial); exceeding the cap raises OrderCapError
-rather than silently grinding.
+rather than silently grinding. maybee_entry sums the path formula in
+integers with a per-call table of the minors off each path's vertex set, so
+it makes at most 1 + 2^(n-2) eliminations however many paths there are.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
-from zmx.matrix import Matrix, det, principal_minor
+from zmx.matrix import Matrix, _bareiss, _integer_grid
 
 
 @dataclass(frozen=True)
@@ -178,25 +180,45 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
 
     with A[p] the product of the entries along p and V(p) the vertices off p.
     The empty minor (paths covering every vertex) contributes 1.
+
+    The sum runs in integers: with A = G / L for the lcm L of the entry
+    denominators, each term is L * G[p] * det G[V(p)] / det G. A DFS over
+    the simple paths carries the signed product (-1)^l(p) G[p] and the
+    bitmask of the vertices on p, and the minors det G[V(p)] are memoised
+    per call by that mask, so paths with the same vertex set share one
+    elimination: at most 2^(n-2) minors, however many paths there are.
     """
     n = a.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices must lie in 1..{n}")
-    d_a = det(a)
-    if d_a == 0:
+    lcm, grid = _integer_grid(a.rows)
+    d_g = _bareiss([row[:] for row in grid])
+    if d_g == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
+
+    def minor(ks: list[int]) -> int:
+        return _bareiss([[grid[r][c] for c in ks] for r in ks]) if ks else 1
+
+    i, j = i - 1, j - 1
     if i == j:
-        others = tuple(k for k in range(1, n + 1) if k != i)
-        return principal_minor(a, others) / d_a
-    total = Fraction(0)
-    for p in enumerate_paths(digraph_of(a), i, j, cap):
-        weight = Fraction(1)
-        vs = p.vertices
-        for u, w in zip(vs, vs[1:]):
-            weight *= a.entry(u, w)
-        term = weight * principal_minor(a, p.off_path())
-        total += -term if p.length % 2 else term
-    return total / d_a
+        return Fraction(lcm * minor([k for k in range(n) if k != i]), d_g)
+    check_order_cap(n, cap)
+    adj = [[w for w in range(n) if w != u and grid[u][w]] for u in range(n)]
+    off_minors: dict[int, int] = {}
+
+    def walk(u: int, on: int, signed: int) -> int:
+        total = 0
+        for w in adj[u]:
+            if w == j:
+                m = off_minors.get(on)
+                if m is None:
+                    m = off_minors[on] = minor([k for k in range(n) if not on >> k & 1 and k != j])
+                total -= signed * grid[u][j] * m
+            elif not on >> w & 1:
+                total += walk(w, on | 1 << w, -signed * grid[u][w])
+        return total
+
+    return Fraction(lcm * walk(i, 1 << i, 1), d_g)
 
 
 def to_dot(d: Digraph) -> str:

@@ -62,7 +62,7 @@ def _rng(seed, *key) -> random.Random:
 
 def _det_formula(n_lo, n_hi, trials, seed):
     checks, failures = 0, []
-    for n in range(max(2, n_lo), n_hi + 1):
+    for n in range(n_lo, n_hi + 1):
         for t in range(trials):
             rng = _rng(seed, "det-formula", n, t)
             if t % 8 == 7:
@@ -80,7 +80,7 @@ def _det_formula(n_lo, n_hi, trials, seed):
 
 def _cycle_matrix(n_lo, n_hi, trials, seed):
     checks, failures = 0, []
-    for n in range(max(2, n_lo), n_hi + 1):
+    for n in range(n_lo, n_hi + 1):
         for t in range(trials):
             rng = _rng(seed, "cycle-matrix", n, t)
             while True:
@@ -124,7 +124,7 @@ def _draw_cyclic_mixed(rng, n):
 
 def _bdsw_z(n_lo, n_hi, trials, seed):
     checks, failures = 0, []
-    orders = list(range(max(2, n_lo), n_hi + 1))
+    orders = list(range(n_lo, n_hi + 1))
     evens = [n for n in orders if n % 2 == 0]
     odds = [n for n in orders if n % 2 == 1]
     for t in range(trials):
@@ -216,7 +216,7 @@ def _draw_z_matrix(rng, n, t, *, nonsingular=False):
 
 def _zclass_oracles(n_lo, n_hi, trials, seed):
     checks, failures = 0, []
-    base = list(range(max(1, n_lo), n_hi + 1))
+    base = list(range(n_lo, n_hi + 1))
     at_least2 = [n for n in base if n >= 2]
     at_least3 = [n for n in base if n >= 3]
     plans = (
@@ -266,7 +266,7 @@ def _zclass_oracles(n_lo, n_hi, trials, seed):
 
 def _type_d(n_lo, n_hi, trials, seed):
     checks, failures = 0, []
-    for n in range(max(2, n_lo), n_hi + 1):
+    for n in range(n_lo, n_hi + 1):
         patterns = [None, None, "all_negative", "top_zero"]
         if n >= 3:
             patterns.append("second_zero")
@@ -303,7 +303,7 @@ def _circulant_inverse_conforms(a, mode):
 
 def _polyn(n_lo, n_hi, trials, seed):
     checks, failures = 0, []
-    orders = list(range(max(3, n_lo), n_hi + 1))
+    orders = list(range(n_lo, n_hi + 1))
     for mode in ("nonneg", "nonpos"):
         for t in range(trials):
             n = orders[t % len(orders)]
@@ -326,20 +326,22 @@ def _polyn(n_lo, n_hi, trials, seed):
 
 def _maybee(n_lo, n_hi, trials, seed):
     checks, failures = 0, []
-    dense = list(range(max(2, n_lo), min(n_hi, 5) + 1))
-    uni = list(range(max(2, n_lo), n_hi + 1))
+    # the dense half walks every path, so it stops at order 5
+    dense = list(range(n_lo, min(n_hi, 5) + 1))
+    uni = list(range(n_lo, n_hi + 1))
     for t in range(trials):
-        n = dense[t % len(dense)]
-        rng = _rng(seed, "maybee-dense", n, t)
-        a = random_nonsingular(rng, n)
-        inv = inverse(a)
-        checks += 1
-        if not all(
-            maybee_entry(a, i, j) == inv.entry(i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        ):
-            failures.append(f"maybee dense n={n} trial={t}")
+        if dense:
+            n = dense[t % len(dense)]
+            rng = _rng(seed, "maybee-dense", n, t)
+            a = random_nonsingular(rng, n)
+            inv = inverse(a)
+            checks += 1
+            if not all(
+                maybee_entry(a, i, j) == inv.entry(i, j)
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+            ):
+                failures.append(f"maybee dense n={n} trial={t}")
         n = uni[t % len(uni)]
         rng = _rng(seed, "maybee-bdsw", n, t)
         b = random_bdsw(rng, n)
@@ -367,6 +369,17 @@ CAMPAIGNS = {
     "zclass-oracles": _zclass_oracles,
 }
 
+# the lowest order each campaign's theorem covers
+_LOWEST_ORDER = {
+    "cycle-matrix": 2,
+    "det-formula": 2,
+    "bdsw-z": 2,
+    "type-d": 2,
+    "polyn": 3,
+    "maybee": 2,
+    "zclass-oracles": 1,
+}
+
 
 def run_verify(theorem: str, n_lo: int, n_hi: int, trials: int, seed: int) -> VerifySummary:
     if theorem not in CAMPAIGNS:
@@ -376,5 +389,8 @@ def run_verify(theorem: str, n_lo: int, n_hi: int, trials: int, seed: int) -> Ve
         raise ValueError(f"bad order range {n_lo}..{n_hi}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    checks, failures = CAMPAIGNS[theorem](n_lo, n_hi, trials, seed)
+    low = _LOWEST_ORDER[theorem]
+    if n_hi < low:
+        raise ValueError(f"campaign {theorem!r} starts at order {low}; {n_lo}..{n_hi} holds none")
+    checks, failures = CAMPAIGNS[theorem](max(n_lo, low), n_hi, trials, seed)
     return VerifySummary(theorem, n_lo, n_hi, trials, seed, checks, failures)

@@ -22,7 +22,10 @@ parent set's Bareiss-reduced grid, plus one fraction-free grid step per set.
 The perron_r bisection pins the band thresholds themselves: the largest
 spectral radius over order-r principal submatrices of a nonnegative B, to
 any requested rational tolerance, using only the minor test "tI - Bhat is
-weakly M iff t >= rho(Bhat)".
+weakly M iff t >= rho(Bhat)". The bisection of a submatrix ends on a known
+grid point, so one minor test at the grid point just below the best value so
+far decides whether that submatrix could raise it; only those that could are
+bisected, and the result is the same rational.
 """
 
 from __future__ import annotations
@@ -272,7 +275,9 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
 
     b must be entrywise nonnegative and 1 <= r <= n. The returned rational v
     sits within tol above the true maximum: rho <= v < rho + tol, certified
-    by minor signs alone, no eigenvalue computation.
+    by minor signs alone, no eigenvalue computation. It is exactly the
+    largest _rho_bisect value over the submatrices; a submatrix whose value
+    cannot exceed the best so far is skipped after at most one minor test.
     """
     n = b.n
     check_order_cap(n, cap)
@@ -289,7 +294,16 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
     best = Fraction(0)
     for combo in combinations(range(n), r):
         sub = Matrix._wrap(tuple(tuple(rows[i][j] for j in combo) for i in combo))
-        v = _rho_bisect(sub, tol)
-        if v > best:
-            best = v
+        if best:
+            # _rho_bisect(sub, tol) ends on the smallest point >= rho of the
+            # grid h * k / 2^K, K the first level with h / 2^K < tol, so it
+            # cannot beat best when rho is at most the largest grid point
+            # <= best; at best = 0 that test is the bisection's own first
+            h = max(sum(row) for row in sub.rows)
+            if h <= best:
+                continue
+            step = h / 2 ** (h // tol).bit_length()
+            if _is_weak_m_shift(sub, best // step * step):
+                continue
+        best = max(best, _rho_bisect(sub, tol))
     return best

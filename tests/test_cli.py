@@ -300,6 +300,34 @@ def test_verify_command(capsys):
     assert exc.value.code == 2
 
 
+# the lowest order each campaign's theorem covers
+LOWEST_ORDER = {
+    "bdsw-z": 2,
+    "cycle-matrix": 2,
+    "det-formula": 2,
+    "maybee": 2,
+    "polyn": 3,
+    "type-d": 2,
+    "zclass-oracles": 1,
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(zmx.CAMPAIGNS))
+def test_verify_order_ranges_outside_a_campaign(theorem, capsys):
+    low = LOWEST_ORDER[theorem]
+    args = ["verify", "--theorem", theorem, "--trials", "2", "--n"]
+    if low > 1:
+        # a range below the campaign is bad input, not a vacuous pass
+        assert main(args + [f"1..{low - 1}"]) == 2
+        assert f"starts at order {low}" in capsys.readouterr().err
+    # ranges reaching into the campaign, and ones above maybee's dense orders
+    for orders in (f"1..{low}", f"{low}..{low}", "6..7"):
+        assert main(args + [orders]) == 0
+        out = capsys.readouterr().out
+        checks = int(out.split("checks: ")[1].split()[0])
+        assert checks > 0 and "failures: 0" in out
+
+
 def test_perron_command(tmp_path, capsys):
     path = write(tmp_path, "ones.txt", "3\n1 1 1\n1 1 1\n1 1 1\n")
     assert main(["perron", "--r", "3", path]) == 0

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zmx import (
     Digraph,
@@ -21,8 +23,10 @@ from zmx import (
     is_irreducible,
     is_unipathic,
     maybee_entry,
+    principal_minor,
     to_dot,
 )
+from zmx import digraph
 
 
 def mk(rows):
@@ -144,6 +148,66 @@ def test_maybee_matches_inverse_on_random_dense():
 def test_maybee_requires_nonsingular():
     with pytest.raises(SingularMatrixError):
         maybee_entry(Matrix.zeros(2), 1, 2)
+
+
+def path_formula(a, i, j):
+    # the formula term by term over Fractions: one Path and one minor per path
+    d = det(a)
+    if d == 0:
+        raise SingularMatrixError("singular")
+    if i == j:
+        return principal_minor(a, [k for k in range(1, a.n + 1) if k != i]) / d
+    total = Fraction(0)
+    for p in enumerate_paths(digraph_of(a), i, j):
+        term = principal_minor(a, p.off_path())
+        for u, w in zip(p.vertices, p.vertices[1:]):
+            term *= a.entry(u, w)
+        total += (-1) ** p.length * term
+    return total / d
+
+
+@st.composite
+def zero_heavy(draw):
+    n = draw(st.integers(1, 7))
+    entry = st.builds(Fraction, st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3)),
+                      st.sampled_from((1, 2, 3, 5, 7)))
+    return Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_heavy())
+def test_maybee_entry_matches_path_formula_and_inverse(a):
+    n = a.n
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    if det(a) == 0:
+        for i, j in cells:
+            with pytest.raises(SingularMatrixError):
+                maybee_entry(a, i, j)
+        return
+    inv = inverse(a)
+    for i, j in cells:
+        assert maybee_entry(a, i, j) == path_formula(a, i, j) == inv.entry(i, j)
+
+
+def test_maybee_entry_shares_minors_between_paths(monkeypatch):
+    calls = []
+    bareiss = digraph._bareiss
+
+    def counted(m):
+        calls.append(len(m))
+        return bareiss(m)
+
+    monkeypatch.setattr(digraph, "_bareiss", counted)
+    rng = random.Random(707)
+    while True:
+        a = mk([[rng.choice((1, -1, 2, -3, 5)) for _ in range(7)] for _ in range(7)])
+        if det(a) != 0:
+            break
+    assert maybee_entry(a, 2, 6) == inverse(a).entry(2, 6)
+    # det G, then at most one minor per vertex set off a path: the nonempty
+    # subsets of the five vertices other than the endpoints
+    assert calls[0] == 7
+    assert len(calls) <= 1 + 2 ** 5
 
 
 def test_dot_export():

@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zmx import (
@@ -238,6 +238,68 @@ def test_perron_validation():
         perron_r(b, 1, 1e-9)
     with pytest.raises(ValueError):
         perron_r(b, 1, Fraction(0))
+
+
+def sub_of(b, combo):
+    rows = b.rows
+    return Matrix._wrap(tuple(tuple(rows[i][j] for j in combo) for i in combo))
+
+
+@st.composite
+def nonneg_case(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.sampled_from((0, 0, 1, 2, 3, 5)),
+                      st.sampled_from((1, 2, 3, 7)))
+    b = mk([[draw(entry) for _ in range(n)] for _ in range(n)])
+    tol = draw(st.sampled_from((Fraction(3, 7), Fraction(1, 10), Fraction(1, 10**6),
+                                Fraction(1, 10**12), Fraction(1, 1024), Fraction(1), Fraction(5))))
+    return b, draw(st.integers(1, n)), tol
+
+
+# two order-2 blocks of spectral radius 2: [[0, 2], [2, 0]] has max row sum 2,
+# [[1, 2], [1, 0]] has 3, so their bisection grids differ, in either order
+EQUAL_ROOTS = mk([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 1, 2], [0, 0, 1, 0]])
+EQUAL_ROOTS_SWAPPED = mk([[1, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
+TWIN_BLOCKS = mk([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonneg_case())
+@example((EQUAL_ROOTS, 2, Fraction(1, 10**6)))
+@example((EQUAL_ROOTS_SWAPPED, 2, Fraction(3, 7)))
+@example((TWIN_BLOCKS, 2, Fraction(1, 10)))
+def test_perron_r_is_the_largest_bisected_root(case):
+    b, r, tol = case
+    want = max(zclass._rho_bisect(sub_of(b, c), tol) for c in combinations(range(b.n), r))
+    assert perron_r(b, r, tol) == want
+
+
+def test_perron_r_bisects_only_a_subset_that_can_win(monkeypatch):
+    tests, bisections = [], []
+    weak_m, bisect = zclass._is_weak_m_shift, zclass._rho_bisect
+
+    def counted_test(bhat, t):
+        tests.append(t)
+        return weak_m(bhat, t)
+
+    def counted_bisect(bhat, tol):
+        bisections.append(bhat)
+        return bisect(bhat, tol)
+
+    monkeypatch.setattr(zclass, "_is_weak_m_shift", counted_test)
+    monkeypatch.setattr(zclass, "_rho_bisect", counted_bisect)
+    # {1, 2, 3} holds 3(J - I), radius 6; every other 3-subset is block
+    # triangular with radius at most 3 but a row sum above 6
+    n, r = 5, 3
+    b = mk([[0 if i == j else 3 if max(i, j) < 3 else 10 if i < j else 0
+             for j in range(n)] for i in range(n)])
+    one = bisect(sub_of(b, range(r)), TOL)
+    assert len(tests) > 1
+    per_bisection = len(tests)
+    tests.clear()
+    assert perron_r(b, r, TOL) == one
+    assert bisections == [sub_of(b, range(r))]
+    assert len(tests) == per_bisection + comb(n, r) - 1
 
 
 def test_classify_identity():
