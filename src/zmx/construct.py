@@ -1,13 +1,14 @@
 """Constructors for the structured families the toolkit studies.
 
 from_cyclic_params rebuilds a full inverse cyclic matrix from its free
-parameters (diagonal, super-diagonal, corner); every remaining entry is the
-monomial forced by the case-equations. bdsw_matrix lays out the sparse
-pattern directly. type_d builds the constant-on-L-shapes family
-a_ij = a_min(i,j) from a strictly increasing parameter list, whose inverse is
-tridiagonal. circulant_pz evaluates a polynomial in the cyclic shift matrix,
-giving a circulant; circulant_conditions tests the parameter conditions under
-which its inverse is a bdsw M- or N-matrix.
+parameters (diagonal, super-diagonal, corner) with the cycle walk of
+zmx.cyclic: every remaining entry is the monomial forced by the
+case-equations. bdsw_matrix lays out the sparse pattern directly. type_d
+builds the constant-on-L-shapes family a_ij = a_min(i,j) from a strictly
+increasing parameter list, whose inverse is tridiagonal. circulant_pz
+evaluates a polynomial in the cyclic shift matrix by laying out the
+circulant it equals; circulant_conditions tests the parameter conditions
+under which its inverse is a bdsw M- or N-matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from zmx.cyclic import _cycle_walk
 from zmx.errors import ORDER_CAP, check_order_cap
 from zmx.matrix import Matrix, inverse
 from zmx.zclass import is_z, l_index
@@ -48,34 +50,10 @@ def from_cyclic_params(diag: Sequence, sup: Sequence, corner) -> Matrix:
         raise ValueError(f"expected {n - 1} super-diagonal parameters, got {len(s)}")
     if any(x == 0 for x in d):
         raise ValueError("diagonal parameters must be nonzero")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = d[i]
-    # upper triangle: chain of super-diagonal hops i -> i+1 -> ... -> j
-    for i in range(n - 1):
-        acc = Fraction(1)
-        for j in range(i + 1, n):
-            acc *= s[j - 1]
-            if j > i + 1:
-                acc /= d[j - 1]
-            rows[i][j] = acc
-    # lower triangle, i < n: ride the cycle out through n and back in via 1
-    for i in range(1, n - 1):
-        head = corner
-        for t in range(i, n - 1):
-            head *= s[t] / d[t + 1]
-        acc = head
-        rows[i][0] = acc
-        for j in range(1, i):
-            acc *= s[j - 1] / d[j - 1]
-            rows[i][j] = acc
-    # last row: corner, then chase along row 1
-    acc = corner
-    rows[n - 1][0] = acc
-    for j in range(1, n - 1):
-        acc *= s[j - 1] / d[j - 1]
-        rows[n - 1][j] = acc
-    return Matrix(rows)
+    rows = [[x] * n for x in d]  # the walk overwrites every off-diagonal cell
+    for i, j, x in _cycle_walk(d, s + [corner]):
+        rows[i][j] = x
+    return Matrix._wrap(tuple(map(tuple, rows)))
 
 
 def bdsw_matrix(diag: Sequence, sup: Sequence, corner) -> Matrix:
@@ -145,36 +123,22 @@ def shift_matrix(n: int) -> Matrix:
     """Cyclic shift: ones on the super-diagonal and in the (n,1) corner."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    one, zero = Fraction(1), Fraction(0)
-    return Matrix._wrap(
-        tuple(
-            tuple(
-                one if (j == i + 1 or (i == n - 1 and j == 0)) else zero
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    )
+    # the circulant of Z itself: alpha_2 = 1, or alpha_1 = 1 when n = 1
+    return circulant_pz([int(k == 1 % n) for k in range(n)])
 
 
 def circulant_pz(alpha: Sequence) -> Matrix:
     """Evaluate alpha_1*I + alpha_2*Z + ... + alpha_n*Z^(n-1), Z the cyclic shift.
 
-    The result is the circulant with first row (alpha_1, ..., alpha_n) and
-    every following row rotated one place right.
+    Z^k holds ones at (i, i+k mod n), so the result is the circulant with
+    entry (i, j) = alpha_((j - i) mod n): first row (alpha_1, ..., alpha_n)
+    and every following row rotated one place right.
     """
     coeffs = _params(alpha, "alpha")
     n = len(coeffs)
     if n < 1:
         raise ValueError("need at least one coefficient")
-    acc = coeffs[0] * Matrix.identity(n)
-    power = Matrix.identity(n)
-    z = shift_matrix(n)
-    for k in range(1, n):
-        power = power * z
-        if coeffs[k]:
-            acc = acc + coeffs[k] * power
-    return acc
+    return Matrix._wrap(tuple(tuple(coeffs[(j - i) % n] for j in range(n)) for i in range(n)))
 
 
 def circulant_conditions(alpha: Sequence, mode: str) -> bool:

@@ -7,10 +7,15 @@ satisfy three families of case-equations (all indices 1-based):
     a_ij = a_in * a_nj / a_nn   for j < i, i != n
     a_nj = a_n1 * a_1j / a_11   for j < n
 
-Such a matrix is determined by its diagonal, super-diagonal and (n,1) corner;
-every other entry is a monomial in those parameters. Writing d for the
-product of the diagonal and c for the cyclic product
-a_12 * a_23 * ... * a_(n-1)n * a_n1:
+Such a matrix is determined by its diagonal and the n hops of the cycle
+1 -> 2 -> ... -> n -> 1, i.e. the super-diagonal and the (n,1) corner: every
+entry is the walk along the cycle from i to j,
+
+    a_ij = d_i * prod (h_k / d_k) over the hops k from i to j,
+
+which _cycle_walk yields cell by cell. from_cyclic_params builds from it and
+is_inverse_cyclic checks against it. Writing d for the product of the
+diagonal and c for the cyclic product of the hops:
 
     det A = (d - c)^(n-1) / d^(n-2)
 
@@ -30,7 +35,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import chain
+from math import prod
+from typing import Iterator, NamedTuple, Sequence
 
 from zmx.errors import NotInverseCyclicError, SingularMatrixError
 from zmx.matrix import Matrix, inverse
@@ -52,52 +59,44 @@ def is_full(a: Matrix) -> bool:
     return all(x != 0 for row in a.rows for x in row)
 
 
-def is_inverse_cyclic(a: Matrix) -> bool:
-    """Check the case-equations directly (in product form, no division), in
-    O(n^2): with a nonzero diagonal the upper-triangle equations through
-    k = j - 1 make each a_ij (i < j) the product of the hops from i to j,
-    which satisfies the equation through every i < k < j."""
+def _diag_hops(a: Matrix) -> tuple[list[Fraction], list[Fraction]]:
+    """The diagonal and the n hops a_(i,i+1) of the cycle, the last being
+    the (n,1) corner (for n = 1 the single hop is the diagonal entry)."""
     n = a.n
     rows = a.rows
-    if any(rows[i][i] == 0 for i in range(n)):
+    return [rows[i][i] for i in range(n)], [rows[i][(i + 1) % n] for i in range(n)]
+
+
+def _cycle_walk(
+    diag: Sequence[Fraction], hops: Sequence[Fraction]
+) -> Iterator[tuple[int, int, Fraction]]:
+    """Yield (i, j, a_ij) for every off-diagonal cell (0-based) of the
+    inverse cyclic matrix with this nonzero diagonal and these hops:
+    a_ij = d_i * prod h_k / d_k over the hops k on the cycle from i to j."""
+    n = len(diag)
+    ratios = [h / d for h, d in zip(hops, diag)]
+    for i, acc in enumerate(diag):
+        for j in chain(range(i + 1, n), range(i)):
+            acc *= ratios[j - 1]  # ratios[-1] is the corner hop n -> 1
+            yield i, j, acc
+
+
+def is_inverse_cyclic(a: Matrix) -> bool:
+    """True when the diagonal is nonzero and every off-diagonal entry is the
+    product its cycle walk gives. With a nonzero diagonal the case-equations
+    force exactly these products, and the products satisfy every one of
+    them. Stops at the first mismatch."""
+    diag, hops = _diag_hops(a)
+    if 0 in diag:
         return False
-    # upper triangle through k = j - 1: a_ij * a_kk == a_ik * a_kj
-    for k in range(1, n - 1):
-        akk = rows[k][k]
-        akj = rows[k][k + 1]
-        for i in range(k):
-            if rows[i][k + 1] * akk != rows[i][k] * akj:
-                return False
-    # lower triangle rides through vertex n: a_ij * a_nn == a_in * a_nj
-    last = n - 1
-    ann = rows[last][last]
-    for i in range(last):
-        ain = rows[i][last]
-        for j in range(i):
-            if rows[i][j] * ann != ain * rows[last][j]:
-                return False
-    # last row rides through vertex 1: a_nj * a_11 == a_n1 * a_1j
-    a11 = rows[0][0]
-    an1 = rows[last][0]
-    for j in range(1, last):
-        if rows[last][j] * a11 != an1 * rows[0][j]:
-            return False
-    return True
+    rows = a.rows
+    return all(rows[i][j] == x for i, j, x in _cycle_walk(diag, hops))
 
 
 def cyclic_products(a: Matrix) -> CyclicProducts:
     """d = product of the diagonal, c = the cyclic product (0 when n = 1)."""
-    n = a.n
-    rows = a.rows
-    d = Fraction(1)
-    for i in range(n):
-        d *= rows[i][i]
-    if n == 1:
-        return CyclicProducts(d, Fraction(0))
-    c = rows[n - 1][0]
-    for i in range(n - 1):
-        c *= rows[i][i + 1]
-    return CyclicProducts(d, c)
+    diag, hops = _diag_hops(a)
+    return CyclicProducts(prod(diag), prod(hops) if a.n > 1 else Fraction(0))
 
 
 def cyclic_det(a: Matrix) -> Fraction:
@@ -112,10 +111,11 @@ def cyclic_det(a: Matrix) -> Fraction:
 def cyclic_inverse(a: Matrix) -> Matrix:
     """Closed-form inverse of a nonsingular inverse cyclic matrix.
 
-    With e = d - c the nonzero entries of B = A^{-1} are
+    With r = d / (d - c) the nonzero entries of B = A^{-1} sit on the
+    diagonal and the hops:
 
-        b_ii = (prod of a_kk, k != i) / e
-        b_ij = -a_ij * (prod of a_kk, k != i, j) / e   for j = i+1 or (i,j) = (n,1)
+        b_ii = r / a_ii
+        b_ij = -r * a_ij / (a_ii * a_jj)   for j = i+1 or (i,j) = (n,1)
 
     Both products A*B and B*A are checked against the identity before
     returning; a failure would be a counterexample to the formula and raises
@@ -126,23 +126,15 @@ def cyclic_inverse(a: Matrix) -> Matrix:
     d, c = cyclic_products(a)
     if d == c:
         raise SingularMatrixError("d = c, the matrix is singular")
+    diag, hops = _diag_hops(a)
     n = a.n
-    rows = a.rows
-    e = d - c
-    # pre[i] and suf[i]: products of the diagonal before and from index i
-    pre = [Fraction(1)]
-    suf = [Fraction(1)]
-    for i in range(n):
-        pre.append(pre[-1] * rows[i][i])
-        suf.append(suf[-1] * rows[n - 1 - i][n - 1 - i])
-    suf.reverse()
+    r = d / (d - c)
     out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = pre[i] * suf[i + 1] / e
-    for i in range(n - 1):
-        out[i][i + 1] = -rows[i][i + 1] * pre[i] * suf[i + 2] / e
-    if n >= 2:
-        out[n - 1][0] = -rows[n - 1][0] * (pre[n - 1] / rows[0][0]) / e
+    for i, (a_ii, h) in enumerate(zip(diag, hops)):
+        out[i][i] = r / a_ii
+        if n > 1:
+            nxt = (i + 1) % n
+            out[i][nxt] = -r * h / (a_ii * diag[nxt])
     b = Matrix(out)
     ident = Matrix.identity(n)
     if a * b != ident or b * a != ident:

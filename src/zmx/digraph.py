@@ -136,36 +136,34 @@ def enumerate_paths(d: Digraph, i: int, j: int, cap: int = ORDER_CAP) -> list[Pa
     return [Path(vs, d.n) for vs in found]
 
 
-def _more_than_one_path(adj: list[list[int]], n: int, i: int, j: int) -> bool:
-    count = 0
-    on_trail = [False] * (n + 1)
-    on_trail[i] = True
-
-    def walk(u: int) -> bool:
-        nonlocal count
-        for w in adj[u]:
-            if w == j:
-                count += 1
-                if count > 1:
-                    return True
-            elif not on_trail[w]:
-                on_trail[w] = True
-                if walk(w):
-                    return True
-                on_trail[w] = False
-        return False
-
-    return walk(i)
-
-
 def is_unipathic(d: Digraph, cap: int = ORDER_CAP) -> bool:
-    """True when every ordered vertex pair (i, j), i != j, has at most one simple path."""
+    """True when every ordered vertex pair (i, j), i != j, has at most one simple path.
+
+    One DFS over the simple paths from each source: every arrival at a
+    vertex is a distinct simple path to it, so the second arrival at any
+    vertex answers False.
+    """
     check_order_cap(d.n, cap)
     adj = _adjacency(d)
-    for i in range(1, d.n + 1):
-        for j in range(1, d.n + 1):
-            if i != j and _more_than_one_path(adj, d.n, i, j):
-                return False
+    for source in range(1, d.n + 1):
+        arrived = [False] * (d.n + 1)
+        on_trail = [False] * (d.n + 1)
+        on_trail[source] = True
+
+        def second_arrival(u: int) -> bool:
+            for w in adj[u]:
+                if on_trail[w]:
+                    continue
+                if arrived[w]:
+                    return True
+                arrived[w] = on_trail[w] = True
+                if second_arrival(w):
+                    return True
+                on_trail[w] = False
+            return False
+
+        if second_arrival(source):
+            return False
     return True
 
 

@@ -125,67 +125,35 @@ def _draw_cyclic_mixed(rng, n):
 def _bdsw_z(n_lo, n_hi, trials, seed):
     checks, failures = 0, []
     orders = list(range(n_lo, n_hi + 1))
-    evens = [n for n in orders if n % 2 == 0]
-    odds = [n for n in orders if n % 2 == 1]
+    # label, orders, sign, d - c > 0, verdict, what the inverse must be
+    blocks = [
+        ("pos", orders, "pos", True, Verdict.INVERSE_M, is_nonsingular_m),
+        ("neg-even", [n for n in orders if n % 2 == 0], "neg", False, Verdict.INVERSE_N, is_n),
+        ("neg-odd", [n for n in orders if n % 2 == 1], "neg", True, Verdict.INVERSE_N, is_n),
+    ]
     for t in range(trials):
-        n = orders[t % len(orders)]
-        rng = _rng(seed, "bdsw-z", "pos", n, t)
-        a = _draw_cyclic_signed(rng, n, "pos", True)
-        inv = inverse(a)
-        checks += 1
-        if not (
-            bdsw_sign_classify(a) is Verdict.INVERSE_M
-            and is_bdsw(inv)
-            and is_nonsingular_m(inv)
-        ):
-            failures.append(f"bdsw-z pos n={n} trial={t}")
-        if evens:
-            n = evens[t % len(evens)]
-            rng = _rng(seed, "bdsw-z", "neg-even", n, t)
-            a = _draw_cyclic_signed(rng, n, "neg", False)
+        for label, block_orders, sign, e_positive, verdict, conforms in blocks:
+            if not block_orders:
+                continue
+            n = block_orders[t % len(block_orders)]
+            a = _draw_cyclic_signed(_rng(seed, "bdsw-z", label, n, t), n, sign, e_positive)
             inv = inverse(a)
             checks += 1
-            if not (
-                bdsw_sign_classify(a) is Verdict.INVERSE_N
-                and is_bdsw(inv)
-                and is_n(inv)
-            ):
-                failures.append(f"bdsw-z neg-even n={n} trial={t}")
-        if odds:
-            n = odds[t % len(odds)]
-            rng = _rng(seed, "bdsw-z", "neg-odd", n, t)
-            a = _draw_cyclic_signed(rng, n, "neg", True)
-            inv = inverse(a)
-            checks += 1
-            if not (
-                bdsw_sign_classify(a) is Verdict.INVERSE_N
-                and is_bdsw(inv)
-                and is_n(inv)
-            ):
-                failures.append(f"bdsw-z neg-odd n={n} trial={t}")
+            if not (bdsw_sign_classify(a) is verdict and is_bdsw(inv) and conforms(inv)):
+                failures.append(f"bdsw-z {label} n={n} trial={t}")
         # violating parameters must land on Neither
         n = orders[t % len(orders)]
         rng = _rng(seed, "bdsw-z", "violate", n, t)
         kind = t % 3
-        if kind == 0:
-            a = _draw_cyclic_signed(rng, n, "pos", False)
-            inv = inverse(a)
-            ok = (
-                bdsw_sign_classify(a) is Verdict.NEITHER
-                and is_bdsw(inv)
-                and not is_nonsingular_m(inv)
-            )
-        elif kind == 1:
-            a = _draw_cyclic_signed(rng, n, "neg", n % 2 == 0)
-            inv = inverse(a)
-            ok = (
-                bdsw_sign_classify(a) is Verdict.NEITHER
-                and is_bdsw(inv)
-                and not is_n(inv)
-            )
+        if kind == 2:
+            ok = bdsw_sign_classify(_draw_cyclic_mixed(rng, n)) is Verdict.NEITHER
         else:
-            a = _draw_cyclic_mixed(rng, n)
-            ok = bdsw_sign_classify(a) is Verdict.NEITHER
+            # a positive matrix with d - c < 0, a negative one of the wrong parity
+            sign, e_positive, conforms = [("pos", False, is_nonsingular_m),
+                                          ("neg", n % 2 == 0, is_n)][kind]
+            a = _draw_cyclic_signed(rng, n, sign, e_positive)
+            inv = inverse(a)
+            ok = bdsw_sign_classify(a) is Verdict.NEITHER and is_bdsw(inv) and not conforms(inv)
         checks += 1
         if not ok:
             failures.append(f"bdsw-z violate kind={kind} n={n} trial={t}")

@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zmx import (
     IndexSet,
@@ -30,6 +32,7 @@ from zmx import (
     is_nonsingular_m,
     is_z,
     roundtrip_check,
+    shift_matrix,
     submatrix,
 )
 from zmx.sampling import random_bdsw, random_cyclic_params, random_inverse_cyclic
@@ -187,6 +190,61 @@ def test_is_inverse_cyclic_matches_every_case_equation():
         hits += want
         misses += not want
     assert hits >= 100 and misses >= 100
+
+
+RATIONAL = st.builds(Fraction, st.sampled_from((0, 1, -1, 2, -3)), st.sampled_from((1, 2, 5)))
+NONZERO = RATIONAL.filter(bool)
+
+
+@st.composite
+def cyclic_or_perturbed(draw):
+    """An inverse cyclic matrix of order 1-7 (zeros allowed on the hops),
+    half the time with one entry redrawn, which may break the property or
+    zero a diagonal entry."""
+    n = draw(st.integers(1, 7))
+    diag = [draw(NONZERO) for _ in range(n)]
+    if n == 1:
+        a = Matrix([diag])
+    else:
+        a = from_cyclic_params(diag, [draw(RATIONAL) for _ in range(n - 1)], draw(RATIONAL))
+    if draw(st.booleans()):
+        rows = [list(row) for row in a.rows]
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(RATIONAL)
+        a = Matrix(rows)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_or_perturbed())
+@example(A3)
+@example(C3)
+def test_inverse_cyclicity_is_invariant_under_the_cyclic_shift(a):
+    n = a.n
+    z = shift_matrix(n)
+    want = every_case_equation_holds(a)
+    assert is_inverse_cyclic(a) == want
+    shifted = a
+    for _ in range(n - 1):
+        moved = z * shifted * z.transpose()
+        # the (n,1) corner hop becomes the super-diagonal hop (n-1, n)
+        assert moved.entry(n - 1, n) == shifted.entry(n, 1)
+        shifted = moved
+        assert is_inverse_cyclic(shifted) == every_case_equation_holds(shifted) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_or_perturbed(), st.data())
+def test_inverse_cyclicity_is_invariant_under_diagonal_scaling(a, data):
+    n = a.n
+
+    def diagonal():
+        entries = [data.draw(NONZERO) for _ in range(n)]
+        return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    scaled_a = diagonal() * a * diagonal()
+    want = every_case_equation_holds(a)
+    assert is_inverse_cyclic(a) == is_inverse_cyclic(scaled_a) == want
+    assert every_case_equation_holds(scaled_a) == want
 
 
 def test_cyclic_inverse_matches_general_inverse():

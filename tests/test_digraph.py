@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zmx import (
@@ -114,6 +114,23 @@ def test_unipathic_cases():
     assert is_unipathic(digraph_of(BDSW3))
     assert not is_unipathic(FULL3)
     assert is_unipathic(digraph_of(Matrix.identity(3)))
+
+
+@st.composite
+def small_digraph(draw):
+    n = draw(st.integers(1, 7))
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return Digraph(n, draw(st.sets(st.sampled_from(cells), max_size=2 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraph())
+@example(digraph_of(BDSW4))
+@example(FULL3)
+def test_is_unipathic_matches_path_listing(d):
+    want = all(len(enumerate_paths(d, i, j)) <= 1
+               for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j)
+    assert is_unipathic(d) == want
 
 
 def test_maybee_entry_golden_path():

@@ -6,6 +6,7 @@ the two characterizations stay independently verified.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -490,3 +491,19 @@ def test_classify_is_invariant_under_permutation(case):
     rows = a.rows
     pap = Matrix._wrap(tuple(tuple(rows[i][j] for j in perm) for i in perm))
     assert classify(pap) == classify(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_z(), st.data())
+def test_classify_is_invariant_under_positive_diagonal_scaling(a, data):
+    n = a.n
+    positive = st.builds(Fraction, st.integers(1, 7), st.sampled_from((1, 2, 3)))
+    p = [data.draw(positive) for _ in range(n)]
+    q = [data.draw(positive) for _ in range(n)]
+    rows = a.rows
+    dae = Matrix([[p[i] * rows[i][j] * q[j] for j in range(n)] for i in range(n)])
+    report = classify(a)
+    scale = Fraction(1)
+    for x in p + q:
+        scale *= x
+    assert classify(dae) == replace(report, determinant=report.determinant * scale)
