@@ -61,7 +61,7 @@ def _parse_text(text: str) -> Matrix:
         raise MatrixParseError("empty input", line=1, column=1)
     head_no, head = content[0]
     head_tokens = head.split()
-    if len(head_tokens) != 1 or not head_tokens[0].isdigit() or int(head_tokens[0]) < 1:
+    if len(head_tokens) != 1 or not head_tokens[0].isdecimal() or int(head_tokens[0]) < 1:
         raise MatrixParseError("first line must be the order, a positive integer",
                                line=head_no, column=1)
     n = int(head_tokens[0])
@@ -120,9 +120,12 @@ def _parse_json(text: str) -> Matrix:
 
 def parse_matrix(text: str) -> Matrix:
     """Parse either accepted format, sniffing JSON by the leading brace."""
-    if text.lstrip().startswith("{"):
-        return _parse_json(text)
-    return _parse_text(text)
+    try:
+        return (_parse_json if text.lstrip().startswith("{") else _parse_text)(text)
+    except MatrixParseError:
+        raise
+    except ValueError as exc:  # a number too long for int()
+        raise MatrixParseError(str(exc)) from None
 
 
 def serialize_matrix(a: Matrix) -> str:

@@ -1,14 +1,14 @@
 """Constructors for the structured families the toolkit studies.
 
 from_cyclic_params rebuilds a full inverse cyclic matrix from its free
-parameters (diagonal, super-diagonal, corner) with the cycle walk of
-zmx.cyclic: every remaining entry is the monomial forced by the
-case-equations. bdsw_matrix lays out the sparse pattern directly. type_d
-builds the constant-on-L-shapes family a_ij = a_min(i,j) from a strictly
-increasing parameter list, whose inverse is tridiagonal. circulant_pz
-evaluates a polynomial in the cyclic shift matrix by laying out the
-circulant it equals; circulant_conditions tests the parameter conditions
-under which its inverse is a bdsw M- or N-matrix.
+parameters (diagonal, super-diagonal, corner) by walking the cycle
+1 -> ... -> n -> 1 in integer numerator/denominator pairs: every remaining
+entry is the monomial forced by the case-equations. bdsw_matrix lays out
+the sparse pattern directly. type_d builds the constant-on-L-shapes family
+a_ij = a_min(i,j) from a strictly increasing parameter list, whose inverse
+is tridiagonal. circulant_pz evaluates a polynomial in the cyclic shift
+matrix by laying out the circulant it equals; circulant_conditions tests the
+parameter conditions under which its inverse is a bdsw M- or N-matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from zmx.cyclic import _cycle_walk
 from zmx.errors import ORDER_CAP, check_order_cap
-from zmx.matrix import Matrix, inverse
+from zmx.matrix import Matrix, _cleared, inverse
 from zmx.zclass import is_z, l_index
 
 
@@ -28,7 +27,7 @@ def _params(seq, name) -> list[Fraction]:
     for x in seq:
         if isinstance(x, float):
             raise TypeError(f"{name} must be exact (int, str or Fraction)")
-        out.append(Fraction(x))
+        out.append(x if type(x) is Fraction else Fraction(x))
     return out
 
 
@@ -50,10 +49,18 @@ def from_cyclic_params(diag: Sequence, sup: Sequence, corner) -> Matrix:
         raise ValueError(f"expected {n - 1} super-diagonal parameters, got {len(s)}")
     if any(x == 0 for x in d):
         raise ValueError("diagonal parameters must be nonzero")
-    rows = [[x] * n for x in d]  # the walk overwrites every off-diagonal cell
-    for i, j, x in _cycle_walk(d, s + [corner]):
-        rows[i][j] = x
-    return Matrix._wrap(tuple(map(tuple, rows)))
+    # walk the cycle from each i: a_ij = d_i * prod h_k / d_k over the hops
+    # k from i to j, kept as integer (numerator, denominator) pairs
+    ratios = [(h.numerator * x.denominator, h.denominator * x.numerator)
+              for h, x in zip(s + [corner], d)]
+    cells = [[(x.numerator, x.denominator)] * n for x in d]
+    for i, row in enumerate(cells):
+        p, q = row[i]
+        for t in range(i + 1, i + n):
+            rp, rq = ratios[(t - 1) % n]  # the hop into vertex t % n
+            p, q = p * rp, q * rq
+            row[t % n] = (p, q)
+    return Matrix._from_grid(*_cleared(cells))
 
 
 def bdsw_matrix(diag: Sequence, sup: Sequence, corner) -> Matrix:
@@ -72,7 +79,7 @@ def bdsw_matrix(diag: Sequence, sup: Sequence, corner) -> Matrix:
         raise ValueError(f"expected {n - 1} super-diagonal parameters, got {len(s)}")
     if any(x == 0 for x in d) or any(x == 0 for x in s) or corner == 0:
         raise ValueError("bdsw parameters must all be nonzero")
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = d[i]
     for i in range(n - 1):
@@ -138,7 +145,7 @@ def circulant_pz(alpha: Sequence) -> Matrix:
     n = len(coeffs)
     if n < 1:
         raise ValueError("need at least one coefficient")
-    return Matrix._wrap(tuple(tuple(coeffs[(j - i) % n] for j in range(n)) for i in range(n)))
+    return Matrix([[coeffs[(j - i) % n] for j in range(n)] for i in range(n)])
 
 
 def circulant_conditions(alpha: Sequence, mode: str) -> bool:
@@ -175,8 +182,6 @@ def circulant_conditions(alpha: Sequence, mode: str) -> bool:
 
 def is_tridiagonal(a: Matrix) -> bool:
     """Zero outside the three central diagonals (band entries may be anything)."""
-    rows = a.rows
+    g = a._grid
     n = a.n
-    return all(
-        rows[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > 1
-    )
+    return all(g[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > 1)

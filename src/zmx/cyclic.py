@@ -13,9 +13,12 @@ entry is the walk along the cycle from i to j,
 
     a_ij = d_i * prod (h_k / d_k) over the hops k from i to j,
 
-which _cycle_walk yields cell by cell. from_cyclic_params builds from it and
-is_inverse_cyclic checks against it. Writing d for the product of the
-diagonal and c for the cyclic product of the hops:
+and from_cyclic_params builds from that walk. With a nonzero diagonal each
+entry is its walk value exactly when every step of the walk holds,
+a_(i,next(j)) * a_jj = a_ij * a_(j,next(j)), and is_inverse_cyclic checks
+the steps on the integer grid G = L*A (both sides have degree two, so L
+drops out). Writing d for the product of the diagonal and c for the cyclic
+product of the hops:
 
     det A = (d - c)^(n-1) / d^(n-2)
 
@@ -35,9 +38,8 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import chain
 from math import prod
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Optional
 
 from zmx.errors import NotInverseCyclicError, SingularMatrixError
 from zmx.matrix import Matrix, inverse
@@ -56,47 +58,39 @@ class Verdict(enum.Enum):
 
 def is_full(a: Matrix) -> bool:
     """True when no entry is zero."""
-    return all(x != 0 for row in a.rows for x in row)
+    return all(all(row) for row in a._grid)
 
 
-def _diag_hops(a: Matrix) -> tuple[list[Fraction], list[Fraction]]:
-    """The diagonal and the n hops a_(i,i+1) of the cycle, the last being
-    the (n,1) corner (for n = 1 the single hop is the diagonal entry)."""
-    n = a.n
-    rows = a.rows
-    return [rows[i][i] for i in range(n)], [rows[i][(i + 1) % n] for i in range(n)]
-
-
-def _cycle_walk(
-    diag: Sequence[Fraction], hops: Sequence[Fraction]
-) -> Iterator[tuple[int, int, Fraction]]:
-    """Yield (i, j, a_ij) for every off-diagonal cell (0-based) of the
-    inverse cyclic matrix with this nonzero diagonal and these hops:
-    a_ij = d_i * prod h_k / d_k over the hops k on the cycle from i to j."""
-    n = len(diag)
-    ratios = [h / d for h, d in zip(hops, diag)]
-    for i, acc in enumerate(diag):
-        for j in chain(range(i + 1, n), range(i)):
-            acc *= ratios[j - 1]  # ratios[-1] is the corner hop n -> 1
-            yield i, j, acc
+def _diag_hops(g) -> tuple[list, list]:
+    """The diagonal and the n hops g_(i,i+1) of the cycle, the (n,1) corner last."""
+    n = len(g)
+    return [g[i][i] for i in range(n)], [g[i][(i + 1) % n] for i in range(n)]
 
 
 def is_inverse_cyclic(a: Matrix) -> bool:
     """True when the diagonal is nonzero and every off-diagonal entry is the
-    product its cycle walk gives. With a nonzero diagonal the case-equations
-    force exactly these products, and the products satisfy every one of
-    them. Stops at the first mismatch."""
-    diag, hops = _diag_hops(a)
-    if 0 in diag:
+    product its cycle walk gives, i.e. every step of the walk from each i
+    holds. With a nonzero diagonal the case-equations force exactly these
+    products, and the products satisfy every one of them. Stops at the
+    first mismatch."""
+    g = a._grid
+    n = len(g)
+    if not all(g[j][j] for j in range(n)):
         return False
-    rows = a.rows
-    return all(rows[i][j] == x for i, j, x in _cycle_walk(diag, hops))
+    for i, row in enumerate(g):
+        for t in range(i + 1, i + n - 1):
+            j, k = t % n, (t + 1) % n
+            if row[k] * g[j][j] != row[j] * g[j][k]:
+                return False
+    return True
 
 
 def cyclic_products(a: Matrix) -> CyclicProducts:
     """d = product of the diagonal, c = the cyclic product (0 when n = 1)."""
-    diag, hops = _diag_hops(a)
-    return CyclicProducts(prod(diag), prod(hops) if a.n > 1 else Fraction(0))
+    diag, hops = _diag_hops(a._grid)
+    scale = a._lcm ** a.n
+    c = Fraction(prod(hops), scale) if a.n > 1 else Fraction(0)
+    return CyclicProducts(Fraction(prod(diag), scale), c)
 
 
 def cyclic_det(a: Matrix) -> Fraction:
@@ -126,15 +120,16 @@ def cyclic_inverse(a: Matrix) -> Matrix:
     d, c = cyclic_products(a)
     if d == c:
         raise SingularMatrixError("d = c, the matrix is singular")
-    diag, hops = _diag_hops(a)
+    # on the grid G = L*A: b_ii = r*L / g_ii, b_ij = -r*L * g_ij / (g_ii * g_jj)
+    diag, hops = _diag_hops(a._grid)
     n = a.n
-    r = d / (d - c)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i, (a_ii, h) in enumerate(zip(diag, hops)):
-        out[i][i] = r / a_ii
+    rl = d / (d - c) * a._lcm
+    out = [[0] * n for _ in range(n)]
+    for i, (g_ii, h) in enumerate(zip(diag, hops)):
+        out[i][i] = rl / g_ii
         if n > 1:
             nxt = (i + 1) % n
-            out[i][nxt] = -r * h / (a_ii * diag[nxt])
+            out[i][nxt] = -rl * h / (g_ii * diag[nxt])
     b = Matrix(out)
     ident = Matrix.identity(n)
     if a * b != ident or b * a != ident:
@@ -151,27 +146,28 @@ def is_bdsw(a: Matrix) -> bool:
     n = a.n
     if n < 2:
         return False
-    rows = a.rows
+    g = a._grid
     for i in range(n):
         for j in range(n):
             on_pattern = i == j or j == i + 1 or (i == n - 1 and j == 0)
             if on_pattern:
-                if rows[i][j] == 0:
+                if g[i][j] == 0:
                     return False
-            elif rows[i][j] != 0:
+            elif g[i][j] != 0:
                 return False
     return True
 
 
-def roundtrip_check(a: Matrix) -> bool:
+def roundtrip_check(a: Matrix, inv: Optional[Matrix] = None) -> bool:
     """Both directions of the structure theorem on one nonsingular matrix.
 
     Returns True when (is_full and is_inverse_cyclic) agrees with
     is_bdsw(inverse(a)); the theorem says it always does, so a False return
-    is a counterexample.
+    is a counterexample. A caller that already holds inverse(a) may pass it
+    as inv instead of having it computed again.
     """
     lhs = is_full(a) and is_inverse_cyclic(a)
-    rhs = is_bdsw(inverse(a))
+    rhs = is_bdsw(inverse(a) if inv is None else inv)
     return lhs == rhs
 
 
@@ -188,12 +184,13 @@ def bdsw_sign_classify(a: Matrix) -> Verdict:
         return Verdict.NEITHER
     d, c = cyclic_products(a)
     e = d - c
-    rows = a.rows
-    if all(x > 0 for row in rows for x in row):
+    # the grid G = L*A has the signs of A, since L > 0
+    g = a._grid
+    if all(x > 0 for row in g for x in row):
         if e > 0:
             return Verdict.INVERSE_M
         return Verdict.NEITHER
-    if all(x < 0 for row in rows for x in row):
+    if all(x < 0 for row in g for x in row):
         if (n % 2 == 0 and e < 0) or (n % 2 == 1 and e > 0):
             return Verdict.INVERSE_N
         return Verdict.NEITHER

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
-from zmx.matrix import Matrix, _bareiss, _integer_grid
+from zmx.matrix import Matrix, _bareiss
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ class Path:
 
 def digraph_of(a: Matrix) -> Digraph:
     n = a.n
-    rows = a.rows
+    g = a._grid
     return Digraph(
         n,
-        ((i + 1, j + 1) for i in range(n) for j in range(n) if rows[i][j]),
+        ((i + 1, j + 1) for i in range(n) for j in range(n) if g[i][j]),
     )
 
 
@@ -189,8 +189,8 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     n = a.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices must lie in 1..{n}")
-    lcm, grid = _integer_grid(a.rows)
-    d_g = _bareiss([row[:] for row in grid])
+    lcm, grid = a._lcm, a._grid
+    d_g = _bareiss([list(row) for row in grid])
     if d_g == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
 

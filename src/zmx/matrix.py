@@ -1,15 +1,17 @@
 """Exact rational matrices and the determinant machinery built on them.
 
-Entries are fractions.Fraction throughout; floating point is rejected at the
-door so no result in this module is ever approximate. The public API is
-1-based: A[i, j] is the entry in row i, column j for 1 <= i, j <= n, matching
-the convention used in the docs, error messages and the CLI formats.
+A matrix is stored as its canonical integer pair (L, G): L > 0 is the lcm of
+the entry denominators and G = L*A is an integer grid, so equal matrices
+have equal pairs. Floating point is rejected at the door, so no result here
+is ever approximate. Entries come back as fractions.Fraction, built from G
+only when rows, entry, str or repr ask for them. The public API is 1-based:
+A[i, j] is the entry in row i, column j for 1 <= i, j <= n, matching the
+convention used in the docs, error messages and the CLI formats.
 
-Determinants and inverses clear denominators once and run one fraction-free
-Bareiss elimination over plain integers (det A = det(L*A) / L^n for the lcm L
-of the entry denominators). The inverse runs the same elimination, Gauss-Jordan
-style, on the augmented grid [L*A | L*I], which keeps the arithmetic in int
-until the final exact division.
+Arithmetic runs on G and re-canonicalises with one gcd pass. det and inverse
+run one fraction-free Bareiss elimination over G (det A = det G / L^n), the
+inverse Gauss-Jordan style on [G | L*I], whose right block ends as the last
+pivot times A^-1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import chain
+from typing import Iterable, Iterator, Union
 
 from zmx.errors import SingularMatrixError
 
@@ -26,54 +29,67 @@ Rational = Fraction
 Entry = Union[int, str, Fraction]
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("float entries are not allowed; pass int, str or Fraction")
-    return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact entry, in lowest terms."""
+    if type(x) is not int and type(x) is not Fraction:
+        if isinstance(x, float):
+            raise TypeError("float entries are not allowed; pass int, str or Fraction")
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _cleared(cells) -> tuple[int, list[list[int]]]:
+    """K and the grid K*A for rows of (numerator, denominator) pairs, K the lcm
+    of the denominators; canonical when every pair is in lowest terms."""
+    k = math.lcm(*(q for row in cells for _, q in row))
+    return k, [[p * (k // q) for p, q in row] for row in cells]
 
 
 class Matrix:
     """Immutable square matrix over Fraction with 1-based entry access."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_lcm", "_grid", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[Entry]]) -> None:
-        grid = tuple(tuple(_to_fraction(x) for x in row) for row in rows)
-        n = len(grid)
+        cells = [[_ratio(x) for x in row] for row in rows]
+        n = len(cells)
         if n == 0:
             raise ValueError("matrix order must be at least 1")
-        for row in grid:
+        for row in cells:
             if len(row) != n:
-                raise ValueError(
-                    f"expected {n} entries per row in an order-{n} matrix, got {len(row)}"
-                )
-        self._rows = grid
+                raise ValueError(f"expected {n} entries per row in an order-{n} matrix, got {len(row)}")
+        lcm, grid = _cleared(cells)
+        self._lcm, self._grid, self._rows = lcm, tuple(map(tuple, grid)), None
 
     @classmethod
-    def _wrap(cls, grid: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
-        # internal fast path, entries must already be Fractions and square
+    def _from_grid(cls, lcm: int, grid) -> "Matrix":
+        """The matrix grid / lcm for a square integer grid and lcm != 0, brought
+        to canonical form by one gcd pass."""
+        if lcm != 1:
+            g = math.gcd(lcm, *chain.from_iterable(grid)) * (-1 if lcm < 0 else 1)
+            if g != 1:
+                lcm //= g
+                grid = [[x // g for x in row] for row in grid]
         m = object.__new__(cls)
-        m._rows = grid
+        m._lcm, m._grid, m._rows = lcm, tuple(map(tuple, grid)), None
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls._wrap(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
+        return cls._from_grid(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, n: int) -> "Matrix":
-        zero = Fraction(0)
-        return cls._wrap(tuple((zero,) * n for _ in range(n)))
+        return cls._from_grid(1, [[0] * n for _ in range(n)])
 
     @property
     def n(self) -> int:
-        return len(self._rows)
+        return len(self._grid)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(tuple(Fraction(x, self._lcm) for x in row) for row in self._grid)
         return self._rows
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -81,49 +97,42 @@ class Matrix:
         n = self.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexError(f"entry ({i},{j}) outside an order-{n} matrix")
-        return self._rows[i - 1][j - 1]
+        return Fraction(self._grid[i - 1][j - 1], self._lcm)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.entry(i, j)
 
     def transpose(self) -> "Matrix":
-        return Matrix._wrap(tuple(zip(*self._rows)))
+        return Matrix._from_grid(self._lcm, list(zip(*self._grid)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._lcm == other._lcm and self._grid == other._grid
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self._lcm, self._grid))
 
     def __neg__(self) -> "Matrix":
-        return Matrix._wrap(tuple(tuple(-x for x in row) for row in self._rows))
+        return Matrix._from_grid(self._lcm, [[-x for x in row] for row in self._grid])
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("matrix orders differ")
-        return Matrix._wrap(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._rows, other._rows)
-            )
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
         if not isinstance(other, Matrix):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("matrix orders differ")
-        return Matrix._wrap(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._rows, other._rows)
-            )
-        )
+        lcm = math.lcm(self._lcm, other._lcm)
+        p, q = lcm // self._lcm, sign * (lcm // other._lcm)
+        return Matrix._from_grid(lcm, [
+            [p * a + q * b for a, b in zip(ra, rb)] for ra, rb in zip(self._grid, other._grid)
+        ])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -131,22 +140,23 @@ class Matrix:
                 raise ValueError("matrix orders differ")
             # each output row sums the rows of other scaled by the nonzero
             # entries of the left row, so a sparse factor costs its nonzeros
-            brows = other._rows
+            brows = other._grid
             bnz = [[j for j, b in enumerate(brow) if b] for brow in brows]
-            zero = Fraction(0)
             out = []
-            for arow in self._rows:
-                orow = [zero] * self.n
+            for arow in self._grid:
+                orow = [0] * self.n
                 for k, a in enumerate(arow):
                     if a:
                         brow = brows[k]
                         for j in bnz[k]:
                             orow[j] += a * brow[j]
-                out.append(tuple(orow))
-            return Matrix._wrap(tuple(out))
+                out.append(orow)
+            return Matrix._from_grid(self._lcm * other._lcm, out)
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Matrix._wrap(tuple(tuple(f * x for x in row) for row in self._rows))
+            p = other.numerator
+            return Matrix._from_grid(
+                self._lcm * other.denominator, [[p * x for x in row] for row in self._grid]
+            )
         return NotImplemented
 
     def __rmul__(self, other):
@@ -155,14 +165,12 @@ class Matrix:
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"Matrix({[[str(x) for x in row] for row in self._rows]})"
+        return f"Matrix({[[str(x) for x in row] for row in self.rows]})"
 
     def __str__(self) -> str:
-        cells = [[str(x) for x in row] for row in self._rows]
+        cells = [[str(x) for x in row] for row in self.rows]
         widths = [max(len(r[j]) for r in cells) for j in range(self.n)]
-        return "\n".join(
-            " ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells
-        )
+        return "\n".join(" ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)
 
 
 @dataclass(frozen=True)
@@ -209,16 +217,6 @@ def _as_indices(n: int, s: Union[IndexSet, Iterable[int]], *, allow_empty: bool 
     return idx
 
 
-def _integer_grid(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """Clear denominators: returns L > 0 and the integer matrix L * rows."""
-    lcm = 1
-    for row in rows:
-        for x in row:
-            lcm = math.lcm(lcm, x.denominator)
-    grid = [[x.numerator * (lcm // x.denominator) for x in row] for row in rows]
-    return lcm, grid
-
-
 def _bareiss(m: list[list[int]]) -> int:
     """Fraction-free Bareiss elimination of the left n x n block of the n x w
     integer grid m, in place. Returns that block's determinant.
@@ -258,8 +256,8 @@ def _bareiss(m: list[list[int]]) -> int:
 
 def det(a: Matrix) -> Fraction:
     """Exact determinant."""
-    lcm, grid = _integer_grid(a.rows)
-    d = _bareiss(grid)
+    lcm = a._lcm
+    d = _bareiss([list(row) for row in a._grid])
     if lcm == 1:
         return Fraction(d)
     return Fraction(d, lcm ** a.n)
@@ -268,13 +266,12 @@ def det(a: Matrix) -> Fraction:
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse. Raises SingularMatrixError when det(a) = 0."""
     n = a.n
-    lcm, grid = _integer_grid(a.rows)
-    for i, row in enumerate(grid):
-        row.extend(lcm if j == i else 0 for j in range(n))
+    lcm = a._lcm
+    grid = [list(row) + [lcm if j == i else 0 for j in range(n)] for i, row in enumerate(a._grid)]
     if _bareiss(grid) == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
-    pivot = grid[-1][n - 1]
-    return Matrix._wrap(tuple(tuple(Fraction(x, pivot) for x in row[n:]) for row in grid))
+    # the right block is pivot * A^-1; no entry becomes a Fraction here
+    return Matrix._from_grid(grid[-1][n - 1], [row[n:] for row in grid])
 
 
 def submatrix(a: Matrix, row_idx: Union[IndexSet, Iterable[int]], col_idx: Union[IndexSet, Iterable[int]]) -> Matrix:
@@ -283,8 +280,8 @@ def submatrix(a: Matrix, row_idx: Union[IndexSet, Iterable[int]], col_idx: Union
     ci = _as_indices(a.n, col_idx, allow_empty=False)
     if len(ri) != len(ci):
         raise ValueError("row and column index sets must have equal size")
-    rows = a.rows
-    return Matrix._wrap(tuple(tuple(rows[i - 1][j - 1] for j in ci) for i in ri))
+    g = a._grid
+    return Matrix._from_grid(a._lcm, [[g[i - 1][j - 1] for j in ci] for i in ri])
 
 
 def principal_minor(a: Matrix, idx: Union[IndexSet, Iterable[int]]) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from zmx.construct import bdsw_matrix, from_cyclic_params
 from zmx.matrix import Matrix, det
@@ -43,9 +44,9 @@ def random_cyclic_params(rng, n, *, zeros=True, sign=None):
     positive or negative). zeros=True lets super/corner parameters vanish.
     """
     if sign == "pos":
-        pick = lambda nz: Fraction(rng.randint(1, 4)) / (2 if rng.randrange(4) == 0 else 1)
+        pick = lambda nz: Fraction(rng.randint(1, 4), 2 if rng.randrange(4) == 0 else 1)
     elif sign == "neg":
-        pick = lambda nz: -Fraction(rng.randint(1, 4)) / (2 if rng.randrange(4) == 0 else 1)
+        pick = lambda nz: Fraction(-rng.randint(1, 4), 2 if rng.randrange(4) == 0 else 1)
     else:
         pick = lambda nz: rand_rational(rng, -4, 4, nonzero=nz)
     diag = [pick(True) for _ in range(n)]
@@ -67,13 +68,7 @@ def forced_singular_cyclic_params(rng, n):
     """Parameters with c = d exactly, so the built matrix is singular."""
     diag = [rand_rational(rng, -4, 4, nonzero=True) for _ in range(n)]
     sup = [rand_rational(rng, -4, 4, nonzero=True) for _ in range(n - 1)]
-    d = Fraction(1)
-    for x in diag:
-        d *= x
-    c_partial = Fraction(1)
-    for x in sup:
-        c_partial *= x
-    return diag, sup, d / c_partial
+    return diag, sup, prod(diag) / prod(sup)
 
 
 def random_bdsw(rng, n, *, nonsingular=True) -> Matrix:

@@ -94,14 +94,14 @@ def _cycle_matrix(n_lo, n_hi, trials, seed):
             if not (
                 is_bdsw(inv)
                 and cyclic_inverse(a) == inv
-                and roundtrip_check(a)
+                and roundtrip_check(a, inv)
                 and all(a.entry(i, i) * inv.entry(i, i) == ratio for i in range(1, n + 1))
             ):
                 failures.append(f"cycle-matrix forward n={n} trial={t}")
             b = random_bdsw(rng, n)
             binv = inverse(b)
             checks += 1
-            if not (is_full(binv) and is_inverse_cyclic(binv) and roundtrip_check(b)):
+            if not (is_full(binv) and is_inverse_cyclic(binv) and roundtrip_check(b, binv)):
                 failures.append(f"cycle-matrix backward n={n} trial={t}")
     return checks, failures
 

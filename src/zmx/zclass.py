@@ -37,14 +37,14 @@ from typing import Iterator, Optional
 
 from zmx.digraph import digraph_of, is_irreducible
 from zmx.errors import ORDER_CAP, NotZMatrixError, check_order_cap
-from zmx.matrix import Matrix, _bareiss, _integer_grid, det
+from zmx.matrix import Matrix, _bareiss, det
 
 
 def is_z(a: Matrix) -> bool:
     """True when every off-diagonal entry is <= 0."""
-    rows = a.rows
+    g = a._grid  # the signs of A, since L > 0
     n = a.n
-    return all(rows[i][j] <= 0 for i in range(n) for j in range(n) if i != j)
+    return all(g[i][j] <= 0 for i in range(n) for j in range(n) if i != j)
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[i
     """Yield (order, sign) for every principal minor: orders ascending, and
     within an order the index sets in combinations order.
 
-    Signs are computed on the denominator-cleared integer matrix; scaling by
-    a positive integer never changes a minor's sign. Each index set S keeps
+    Signs are computed on the integer grid G = L*A; scaling by the positive
+    integer L never changes a minor's sign. Each index set S keeps
     its Bareiss-reduced grid over the indices after max(S), whose entry
     (i, j) is det A[S+i | S+j] by Sylvester's identity. The minor of S+p is
     that grid's diagonal entry at p, and one fraction-free step, divided by
@@ -89,7 +89,7 @@ def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[i
     built only once the next order is asked for.
     """
     n = a.n
-    _, grid = _integer_grid(a.rows)
+    grid = a._grid
     top = n if max_order is None else min(max_order, n)
     # (index set, its grid or None, its minor) for the sets that have children
     level = [((), grid, 1)]
@@ -260,7 +260,7 @@ def _rho_bisect(bhat: Matrix, tol: Fraction) -> Fraction:
     lo = Fraction(0)
     if _is_weak_m_shift(bhat, lo):
         return lo
-    hi = max(sum(row) for row in bhat.rows)
+    hi = Fraction(max(map(sum, bhat._grid)), bhat._lcm)
     while hi - lo >= tol:
         mid = (lo + hi) / 2
         if _is_weak_m_shift(bhat, mid):
@@ -283,23 +283,23 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
     check_order_cap(n, cap)
     if not (1 <= r <= n):
         raise ValueError(f"submatrix order r = {r} outside 1..{n}")
-    if any(x < 0 for row in b.rows for x in row):
+    if any(x < 0 for row in b._grid for x in row):
         raise ValueError("matrix must be entrywise nonnegative")
     if isinstance(tol, float):
         raise TypeError("tol must be exact (int, str or Fraction)")
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rows = b.rows
+    g = b._grid
     best = Fraction(0)
     for combo in combinations(range(n), r):
-        sub = Matrix._wrap(tuple(tuple(rows[i][j] for j in combo) for i in combo))
+        sub = Matrix._from_grid(b._lcm, [[g[i][j] for j in combo] for i in combo])
         if best:
             # _rho_bisect(sub, tol) ends on the smallest point >= rho of the
             # grid h * k / 2^K, K the first level with h / 2^K < tol, so it
             # cannot beat best when rho is at most the largest grid point
             # <= best; at best = 0 that test is the bisection's own first
-            h = max(sum(row) for row in sub.rows)
+            h = Fraction(max(map(sum, sub._grid)), sub._lcm)
             if h <= best:
                 continue
             step = h / 2 ** (h // tol).bit_length()

@@ -2,15 +2,20 @@
 behavior and exit codes. End-to-end calls go through main(argv) in-process;
 one subprocess check covers the python -m entry point."""
 
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import zmx
 from zmx import ORDER_CAP, Matrix, MatrixParseError, bdsw_matrix, inverse, type_d
@@ -402,3 +407,84 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verdict: Neither" in proc.stdout
+
+
+# ---------------------------------------------------------------- fuzzing
+
+# tokens near the literal grammar: valid rationals, zero denominators,
+# decimals, non-ASCII digits (Arabic-Indic ones are decimal digits, a
+# superscript two is not) and stray signs
+TOKEN = st.sampled_from(
+    ["0", "1", "-2", "3/4", "-5/6", "+7", "1/0", "1.5", "x", "-", "//", "\u00b2", "\u0663", ""]
+)
+
+
+@st.composite
+def near_matrix_text(draw):
+    n = draw(st.integers(-1, 4))
+    rows = draw(st.lists(st.lists(TOKEN, max_size=5), max_size=5))
+    if draw(st.booleans()):
+        cells = [[int(t) if t.lstrip("-").isdecimal() and draw(st.booleans()) else t for t in row]
+                 for row in rows]
+        return json.dumps({"n": n, "entries": cells})
+    return "\n".join([str(n)] + [" ".join(row) for row in rows])
+
+
+MATRIX_TEXT = st.one_of(
+    near_matrix_text(),
+    st.text(alphabet=st.sampled_from("0123456789-+/ \n\t{}[]\",:.nx\u00b2\u0663"), max_size=60),
+    st.text(max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MATRIX_TEXT)
+@example("\u00b2")  # isdigit() but not a decimal digit
+@example("1" * 5000)  # too long for int()
+@example('{"n": ' + "1" * 5000 + "}")
+@example('{"n": 1, "entries": [[' + "1" * 5000 + "]]}")
+def test_parse_matrix_returns_a_matrix_or_a_parse_error(text):
+    try:
+        m = parse_matrix(text)
+    except MatrixParseError:
+        return
+    assert isinstance(m, Matrix)
+    assert parse_matrix(serialize_matrix(m)) == m
+
+
+ARGV_TOKEN = st.sampled_from([
+    "classify", "invert", "cyclic-check", "digraph", "gen", "verify", "perron",
+    "--json", "--dot", "--method", "oracle", "cyclic", "maybee",
+    "typed", "bdsw", "circulant", "--params", "--diag", "--super", "--corner", "--alpha",
+    "--theorem", "det-formula", "cycle-matrix", "zclass-oracles", "polyn", "type-d",
+    "--n", "1..3", "2..4", "0..1", "3..2", "--seed", "--r", "--tol",
+    "0", "1", "2", "-1", "x", "1/10", "-1/2", "1/0", "1,2,3", "-1,2", "1 1/2", "",
+    "--help", "FILE", "-", "missing.txt",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ARGV_TOKEN, max_size=8), MATRIX_TEXT, st.sampled_from(["1", "2", "0", "x"]))
+@example(["classify", "FILE"], "\u00b2", "1")
+@example(["perron", "FILE", "--r", "1", "--tol", "-1/2"], "1\n1\n", "1")
+def test_cli_exits_0_1_or_2_without_a_traceback(argv, text, trials):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [path if tok == "FILE" else tok for tok in argv]
+        if "verify" in argv:
+            argv += ["--trials", trials]  # the default of 100 trials is slow
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: usage errors and --help
+                    code = exc.code
+        finally:
+            sys.stdin = stdin
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -316,6 +316,18 @@ def test_roundtrip_goldens():
         roundtrip_check(Matrix.zeros(2))
 
 
+def test_roundtrip_check_takes_the_inverse_it_would_compute():
+    rng = random.Random(3517)
+    for a in (A3, C3, R3, A4, *(random_bdsw(rng, n) for n in range(2, 7)),
+              *(random_inverse_cyclic(rng, n, zeros=n % 2 == 0) for n in range(2, 7))):
+        if det(a) != 0:
+            assert roundtrip_check(a, inverse(a)) == roundtrip_check(a)
+    # the inverse passed in is the one checked: C3's inverse is not bdsw
+    # while A3's is, so handing A3 its own inverse keeps the verdict and
+    # handing it C3's breaks it
+    assert roundtrip_check(A3, A3_INV) and not roundtrip_check(A3, C3_INV)
+
+
 def test_nonsingular_bdsw_has_full_inverse():
     assert inverse(A3_INV) == A3 and is_full(A3)
     rng = random.Random(7222)

@@ -5,7 +5,7 @@ clean at a small scale."""
 
 import pytest
 
-from zmx import CAMPAIGNS, run_verify
+from zmx import CAMPAIGNS, cyclic, matrix, run_verify, verify
 
 
 def test_known_campaign_ids():
@@ -55,3 +55,19 @@ def test_every_campaign_runs_clean_small(theorem):
     lo = 3 if theorem in ("type-d", "polyn") else 2
     s = run_verify(theorem, lo, lo + 2, 8, 5)
     assert s.ok and s.checks > 0 and s.failures == []
+
+
+def test_cycle_matrix_campaign_inverts_each_drawn_matrix_once(monkeypatch):
+    # every check draws one matrix (a forward cyclic one or a backward bdsw
+    # one); roundtrip_check reuses the inverse the campaign already holds
+    inverted = []
+
+    def counted(a):
+        inverted.append(a)
+        return matrix.inverse(a)
+
+    monkeypatch.setattr(verify, "inverse", counted)
+    monkeypatch.setattr(cyclic, "inverse", counted)
+    s = run_verify("cycle-matrix", 2, 5, 6, 11)
+    assert s.ok and s.checks == 2 * 4 * 6
+    assert len(inverted) == s.checks
