@@ -407,16 +407,11 @@ def main(argv=None) -> int:
     except MatrixParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, NotInverseCyclicError, NotZMatrixError, OrderCapError) as exc:
+    except (SingularMatrixError, NotInverseCyclicError, NotZMatrixError, OrderCapError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

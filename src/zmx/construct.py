@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from zmx.cyclic import _cycle_grid
 from zmx.errors import ORDER_CAP, check_order_cap
 from zmx.matrix import Matrix, _cleared, inverse
 from zmx.zclass import is_z, l_index
@@ -31,6 +32,21 @@ def _params(seq, name) -> list[Fraction]:
     return out
 
 
+def _cycle_params(diag: Sequence, sup: Sequence, corner) -> tuple[list, list]:
+    """Exact diagonal and hops (super-diagonal, then the corner) of an order
+    n >= 2 cycle: n - 1 super-diagonal parameters and a nonzero diagonal."""
+    d = _params(diag, "diag")
+    hops = _params(sup, "super") + _params([corner], "corner")
+    n = len(d)
+    if n < 2:
+        raise ValueError("need at least 2 diagonal parameters")
+    if len(hops) != n:
+        raise ValueError(f"expected {n - 1} super-diagonal parameters, got {len(hops) - 1}")
+    if any(x == 0 for x in d):
+        raise ValueError("diagonal parameters must be nonzero")
+    return d, hops
+
+
 def from_cyclic_params(diag: Sequence, sup: Sequence, corner) -> Matrix:
     """The inverse cyclic matrix with the given free parameters.
 
@@ -39,20 +55,12 @@ def from_cyclic_params(diag: Sequence, sup: Sequence, corner) -> Matrix:
     positions are the monomials the case-equations force, so the result
     always satisfies is_inverse_cyclic.
     """
-    d = _params(diag, "diag")
-    s = _params(sup, "super")
-    (corner,) = _params([corner], "corner")
+    d, hops = _cycle_params(diag, sup, corner)
     n = len(d)
-    if n < 2:
-        raise ValueError("need at least 2 diagonal parameters")
-    if len(s) != n - 1:
-        raise ValueError(f"expected {n - 1} super-diagonal parameters, got {len(s)}")
-    if any(x == 0 for x in d):
-        raise ValueError("diagonal parameters must be nonzero")
     # walk the cycle from each i: a_ij = d_i * prod h_k / d_k over the hops
     # k from i to j, kept as integer (numerator, denominator) pairs
     ratios = [(h.numerator * x.denominator, h.denominator * x.numerator)
-              for h, x in zip(s + [corner], d)]
+              for h, x in zip(hops, d)]
     cells = [[(x.numerator, x.denominator)] * n for x in d]
     for i, row in enumerate(cells):
         p, q = row[i]
@@ -69,23 +77,10 @@ def bdsw_matrix(diag: Sequence, sup: Sequence, corner) -> Matrix:
     All parameters must be nonzero and n >= 2; at n = 2 the four cells are
     exactly the four entries of the matrix.
     """
-    d = _params(diag, "diag")
-    s = _params(sup, "super")
-    (corner,) = _params([corner], "corner")
-    n = len(d)
-    if n < 2:
-        raise ValueError("bdsw matrices need order >= 2")
-    if len(s) != n - 1:
-        raise ValueError(f"expected {n - 1} super-diagonal parameters, got {len(s)}")
-    if any(x == 0 for x in d) or any(x == 0 for x in s) or corner == 0:
+    d, hops = _cycle_params(diag, sup, corner)
+    if any(x == 0 for x in hops):
         raise ValueError("bdsw parameters must all be nonzero")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = d[i]
-    for i in range(n - 1):
-        rows[i][i + 1] = s[i]
-    rows[n - 1][0] = corner
-    return Matrix(rows)
+    return Matrix(_cycle_grid(d, hops))
 
 
 def type_d(a: Sequence) -> Matrix:

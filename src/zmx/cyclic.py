@@ -67,6 +67,17 @@ def _diag_hops(g) -> tuple[list, list]:
     return [g[i][i] for i in range(n)], [g[i][(i + 1) % n] for i in range(n)]
 
 
+def _cycle_grid(diag, hops) -> list[list]:
+    """The rows holding diag on the diagonal and hop i at (i, i+1 mod n),
+    zeros elsewhere: the inverse of _diag_hops. At n = 1 the diagonal wins."""
+    n = len(diag)
+    rows = [[0] * n for _ in range(n)]
+    for i, (x, h) in enumerate(zip(diag, hops)):
+        rows[i][(i + 1) % n] = h
+        rows[i][i] = x
+    return rows
+
+
 def is_inverse_cyclic(a: Matrix) -> bool:
     """True when the diagonal is nonzero and every off-diagonal entry is the
     product its cycle walk gives, i.e. every step of the walk from each i
@@ -124,13 +135,8 @@ def cyclic_inverse(a: Matrix) -> Matrix:
     diag, hops = _diag_hops(a._grid)
     n = a.n
     rl = d / (d - c) * a._lcm
-    out = [[0] * n for _ in range(n)]
-    for i, (g_ii, h) in enumerate(zip(diag, hops)):
-        out[i][i] = rl / g_ii
-        if n > 1:
-            nxt = (i + 1) % n
-            out[i][nxt] = -rl * h / (g_ii * diag[nxt])
-    b = Matrix(out)
+    b = Matrix(_cycle_grid([rl / g_ii for g_ii in diag],
+                           [-rl * h / (diag[i] * diag[(i + 1) % n]) for i, h in enumerate(hops)]))
     ident = Matrix.identity(n)
     if a * b != ident or b * a != ident:
         raise ArithmeticError("closed-form inverse failed the A*B = I verification")
@@ -144,18 +150,13 @@ def is_bdsw(a: Matrix) -> bool:
     entry must be nonzero.
     """
     n = a.n
-    if n < 2:
-        return False
     g = a._grid
-    for i in range(n):
-        for j in range(n):
-            on_pattern = i == j or j == i + 1 or (i == n - 1 and j == 0)
-            if on_pattern:
-                if g[i][j] == 0:
-                    return False
-            elif g[i][j] != 0:
-                return False
-    return True
+    # for n >= 2 the 2n pattern cells are distinct: 2n nonzero cells in all,
+    # and every pattern cell among them
+    if n < 2 or sum(n - row.count(0) for row in g) != 2 * n:
+        return False
+    diag, hops = _diag_hops(g)
+    return all(diag) and all(hops)
 
 
 def roundtrip_check(a: Matrix, inv: Optional[Matrix] = None) -> bool:

@@ -25,13 +25,13 @@ def rand_rational(rng: random.Random, lo: int = -4, hi: int = 4, nonzero: bool =
             return x
 
 
-def random_matrix(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> Matrix:
-    return Matrix([[rand_rational(rng, lo, hi) for _ in range(n)] for _ in range(n)])
+def random_matrix(rng: random.Random, n: int) -> Matrix:
+    return Matrix([[rand_rational(rng) for _ in range(n)] for _ in range(n)])
 
 
-def random_nonsingular(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> Matrix:
+def random_nonsingular(rng: random.Random, n: int) -> Matrix:
     while True:
-        m = random_matrix(rng, n, lo, hi)
+        m = random_matrix(rng, n)
         if det(m) != 0:
             return m
 
@@ -71,13 +71,13 @@ def forced_singular_cyclic_params(rng, n):
     return diag, sup, prod(diag) / prod(sup)
 
 
-def random_bdsw(rng, n, *, nonsingular=True) -> Matrix:
+def random_bdsw(rng, n) -> Matrix:
     while True:
         diag = [rand_rational(rng, -4, 4, nonzero=True) for _ in range(n)]
         sup = [rand_rational(rng, -4, 4, nonzero=True) for _ in range(n - 1)]
         corner = rand_rational(rng, -4, 4, nonzero=True)
         m = bdsw_matrix(diag, sup, corner)
-        if not nonsingular or det(m) != 0:
+        if det(m) != 0:
             return m
 
 
@@ -102,10 +102,10 @@ def random_type_d_params(rng, n, pattern=None):
     return [Fraction(v) for v in vals]
 
 
-def random_z(rng, n, *, diag_lo=-3, diag_hi=5) -> Matrix:
+def random_z(rng, n) -> Matrix:
     rows = [
         [
-            rand_rational(rng, diag_lo, diag_hi) if i == j else rand_rational(rng, -3, 0)
+            rand_rational(rng, -3, 5) if i == j else rand_rational(rng, -3, 0)
             for j in range(n)
         ]
         for i in range(n)
@@ -113,8 +113,8 @@ def random_z(rng, n, *, diag_lo=-3, diag_hi=5) -> Matrix:
     return Matrix(rows)
 
 
-def random_nonneg(rng, n, hi: int = 4) -> Matrix:
-    return Matrix([[rand_rational(rng, 0, hi) for _ in range(n)] for _ in range(n)])
+def random_nonneg(rng, n) -> Matrix:
+    return Matrix([[rand_rational(rng, 0, 4) for _ in range(n)] for _ in range(n)])
 
 
 def random_shifted_z(rng, n) -> Matrix:
@@ -124,8 +124,9 @@ def random_shifted_z(rng, n) -> Matrix:
     which is what the oracle-equivalence campaign needs for coverage.
     """
     b = random_nonneg(rng, n)
-    top = max(sum(row) for row in b.rows) + 1
-    t = Fraction(rng.randint(0, int(top) * 4), 4)
+    # floor(max row sum) + 1, read off the grid L*B
+    top = max(map(sum, b._grid)) // b._lcm + 1
+    t = Fraction(rng.randint(0, top * 4), 4)
     return t * Matrix.identity(n) - b
 
 

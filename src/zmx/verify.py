@@ -1,10 +1,11 @@
 """Seeded verification campaigns behind the `verify` CLI subcommand.
 
-Each campaign replays a documented theorem on randomly drawn instances and
-counts violations; a nonempty failure list is a counterexample report, never
-a reason to loosen the check. Draws are reproducible: every trial reseeds
-from (seed, campaign, n, trial), so campaigns can be rerun or subdivided
-without changing outcomes.
+Each campaign is a generator that replays a documented theorem on randomly
+drawn instances and yields one (label, ok) pair per check; run_verify alone
+counts the checks and collects the labels of the failed ones. A nonempty
+failure list is a counterexample report, never a reason to loosen the check.
+Draws are reproducible: every trial reseeds from (seed, campaign, n, trial),
+so campaigns can be rerun or subdivided without changing outcomes.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ def _rng(seed, *key) -> random.Random:
 
 
 def _det_formula(n_lo, n_hi, trials, seed):
-    checks, failures = 0, []
     for n in range(n_lo, n_hi + 1):
         for t in range(trials):
             rng = _rng(seed, "det-formula", n, t)
@@ -72,14 +72,12 @@ def _det_formula(n_lo, n_hi, trials, seed):
             a = from_cyclic_params(diag, sup, corner)
             d, c = cyclic_products(a)
             oracle = det(a)
-            checks += 1
-            if cyclic_det(a) != oracle or (d == c) != (oracle == 0):
-                failures.append(f"det-formula n={n} trial={t}")
-    return checks, failures
+            yield f"det-formula n={n} trial={t}", (
+                cyclic_det(a) == oracle and (d == c) == (oracle == 0)
+            )
 
 
 def _cycle_matrix(n_lo, n_hi, trials, seed):
-    checks, failures = 0, []
     for n in range(n_lo, n_hi + 1):
         for t in range(trials):
             rng = _rng(seed, "cycle-matrix", n, t)
@@ -90,20 +88,17 @@ def _cycle_matrix(n_lo, n_hi, trials, seed):
                     break
             inv = inverse(a)
             ratio = d / (d - c)
-            checks += 1
-            if not (
+            yield f"cycle-matrix forward n={n} trial={t}", (
                 is_bdsw(inv)
                 and cyclic_inverse(a) == inv
                 and roundtrip_check(a, inv)
                 and all(a.entry(i, i) * inv.entry(i, i) == ratio for i in range(1, n + 1))
-            ):
-                failures.append(f"cycle-matrix forward n={n} trial={t}")
+            )
             b = random_bdsw(rng, n)
             binv = inverse(b)
-            checks += 1
-            if not (is_full(binv) and is_inverse_cyclic(binv) and roundtrip_check(b, binv)):
-                failures.append(f"cycle-matrix backward n={n} trial={t}")
-    return checks, failures
+            yield f"cycle-matrix backward n={n} trial={t}", (
+                is_full(binv) and is_inverse_cyclic(binv) and roundtrip_check(b, binv)
+            )
 
 
 def _draw_cyclic_signed(rng, n, sign, e_positive):
@@ -123,7 +118,6 @@ def _draw_cyclic_mixed(rng, n):
 
 
 def _bdsw_z(n_lo, n_hi, trials, seed):
-    checks, failures = 0, []
     orders = list(range(n_lo, n_hi + 1))
     # label, orders, sign, d - c > 0, verdict, what the inverse must be
     blocks = [
@@ -138,9 +132,9 @@ def _bdsw_z(n_lo, n_hi, trials, seed):
             n = block_orders[t % len(block_orders)]
             a = _draw_cyclic_signed(_rng(seed, "bdsw-z", label, n, t), n, sign, e_positive)
             inv = inverse(a)
-            checks += 1
-            if not (bdsw_sign_classify(a) is verdict and is_bdsw(inv) and conforms(inv)):
-                failures.append(f"bdsw-z {label} n={n} trial={t}")
+            yield f"bdsw-z {label} n={n} trial={t}", (
+                bdsw_sign_classify(a) is verdict and is_bdsw(inv) and conforms(inv)
+            )
         # violating parameters must land on Neither
         n = orders[t % len(orders)]
         rng = _rng(seed, "bdsw-z", "violate", n, t)
@@ -154,10 +148,7 @@ def _bdsw_z(n_lo, n_hi, trials, seed):
             a = _draw_cyclic_signed(rng, n, sign, e_positive)
             inv = inverse(a)
             ok = bdsw_sign_classify(a) is Verdict.NEITHER and is_bdsw(inv) and not conforms(inv)
-        checks += 1
-        if not ok:
-            failures.append(f"bdsw-z violate kind={kind} n={n} trial={t}")
-    return checks, failures
+        yield f"bdsw-z violate kind={kind} n={n} trial={t}", ok
 
 
 def _draw_z_matrix(rng, n, t, *, nonsingular=False):
@@ -183,7 +174,6 @@ def _draw_z_matrix(rng, n, t, *, nonsingular=False):
 
 
 def _zclass_oracles(n_lo, n_hi, trials, seed):
-    checks, failures = 0, []
     base = list(range(n_lo, n_hi + 1))
     at_least2 = [n for n in base if n >= 2]
     at_least3 = [n for n in base if n >= 3]
@@ -203,37 +193,31 @@ def _zclass_oracles(n_lo, n_hi, trials, seed):
             a = _draw_z_matrix(rng, n, t, nonsingular=(eq == "f0"))
             dd = det(a)
             inv = inverse(a) if dd != 0 else None
+            # the entry signs of inv, read off its grid L*inv (L > 0)
+            signs = set() if inv is None else {(x > 0) - (x < 0) for r in inv._grid for x in r}
             if eq == "m":
                 lhs = is_nonsingular_m(a)
-                rhs = inv is not None and all(x >= 0 for row in inv.rows for x in row)
+                rhs = inv is not None and signs <= {0, 1}
             elif eq == "m-irr":
                 lhs = is_nonsingular_m(a) and is_irreducible(digraph_of(a))
-                rhs = inv is not None and all(x > 0 for row in inv.rows for x in row)
+                rhs = signs == {1}
             elif eq == "n":
                 lhs = is_n(a)
-                rhs = inv is not None and all(x < 0 for row in inv.rows for x in row)
+                rhs = signs == {-1}
             elif eq == "n0":
                 lhs = is_n0(a)
-                rhs = (
-                    inv is not None
-                    and all(x <= 0 for row in inv.rows for x in row)
-                    and is_irreducible(digraph_of(a))
-                )
+                rhs = inv is not None and signs <= {-1, 0} and is_irreducible(digraph_of(a))
             else:
                 lhs = is_f0(a)
                 rhs = (
                     dd < 0
                     and all(s <= 0 for order, s in _minor_signs(inv) if order >= 2)
-                    and any(inv.entry(i, i) > 0 for i in range(1, n + 1))
+                    and any(inv._grid[i][i] > 0 for i in range(n))
                 )
-            checks += 1
-            if lhs != rhs:
-                failures.append(f"zclass-oracles {eq} n={n} trial={t}")
-    return checks, failures
+            yield f"zclass-oracles {eq} n={n} trial={t}", lhs == rhs
 
 
 def _type_d(n_lo, n_hi, trials, seed):
-    checks, failures = 0, []
     for n in range(n_lo, n_hi + 1):
         patterns = [None, None, "all_negative", "top_zero"]
         if n >= 3:
@@ -254,10 +238,7 @@ def _type_d(n_lo, n_hi, trials, seed):
                     ok = is_n0(inv) and not is_n(inv)
                 else:
                     ok = is_f0(inv)
-            checks += 1
-            if not ok:
-                failures.append(f"type-d n={n} trial={t} pattern={pattern}")
-    return checks, failures
+            yield f"type-d n={n} trial={t} pattern={pattern}", ok
 
 
 def _circulant_inverse_conforms(a, mode):
@@ -270,61 +251,46 @@ def _circulant_inverse_conforms(a, mode):
 
 
 def _polyn(n_lo, n_hi, trials, seed):
-    checks, failures = 0, []
     orders = list(range(n_lo, n_hi + 1))
     for mode in ("nonneg", "nonpos"):
         for t in range(trials):
             n = orders[t % len(orders)]
             rng = _rng(seed, "polyn", mode, n, t)
             alpha = random_circulant_alpha(rng, n, mode, conforming=True)
-            checks += 1
-            if not (
+            yield f"polyn {mode} conforming n={n} trial={t}", (
                 circulant_conditions(alpha, mode)
                 and _circulant_inverse_conforms(circulant_pz(alpha), mode)
-            ):
-                failures.append(f"polyn {mode} conforming n={n} trial={t}")
+            )
             alpha = random_circulant_alpha(rng, n, mode, conforming=False)
-            checks += 1
-            if circulant_conditions(alpha, mode) or _circulant_inverse_conforms(
-                circulant_pz(alpha), mode
-            ):
-                failures.append(f"polyn {mode} broken n={n} trial={t}")
-    return checks, failures
+            yield f"polyn {mode} broken n={n} trial={t}", not (
+                circulant_conditions(alpha, mode)
+                or _circulant_inverse_conforms(circulant_pz(alpha), mode)
+            )
+
+
+def _maybee_matches(a, inv):
+    """True when maybee_entry(a, i, j) equals inv at every entry."""
+    n = a.n
+    return all(
+        maybee_entry(a, i, j) == inv.entry(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+    )
 
 
 def _maybee(n_lo, n_hi, trials, seed):
-    checks, failures = 0, []
     # the dense half walks every path, so it stops at order 5
     dense = list(range(n_lo, min(n_hi, 5) + 1))
     uni = list(range(n_lo, n_hi + 1))
     for t in range(trials):
         if dense:
             n = dense[t % len(dense)]
-            rng = _rng(seed, "maybee-dense", n, t)
-            a = random_nonsingular(rng, n)
-            inv = inverse(a)
-            checks += 1
-            if not all(
-                maybee_entry(a, i, j) == inv.entry(i, j)
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-            ):
-                failures.append(f"maybee dense n={n} trial={t}")
+            a = random_nonsingular(_rng(seed, "maybee-dense", n, t), n)
+            yield f"maybee dense n={n} trial={t}", _maybee_matches(a, inverse(a))
         n = uni[t % len(uni)]
-        rng = _rng(seed, "maybee-bdsw", n, t)
-        b = random_bdsw(rng, n)
+        b = random_bdsw(_rng(seed, "maybee-bdsw", n, t), n)
         binv = inverse(b)
-        checks += 1
-        if not (
-            is_unipathic(digraph_of(b))
-            and all(
-                maybee_entry(b, i, j) == binv.entry(i, j)
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-            )
-        ):
-            failures.append(f"maybee bdsw n={n} trial={t}")
-    return checks, failures
+        yield f"maybee bdsw n={n} trial={t}", (
+            is_unipathic(digraph_of(b)) and _maybee_matches(b, binv)
+        )
 
 
 CAMPAIGNS = {
@@ -360,5 +326,9 @@ def run_verify(theorem: str, n_lo: int, n_hi: int, trials: int, seed: int) -> Ve
     low = _LOWEST_ORDER[theorem]
     if n_hi < low:
         raise ValueError(f"campaign {theorem!r} starts at order {low}; {n_lo}..{n_hi} holds none")
-    checks, failures = CAMPAIGNS[theorem](max(n_lo, low), n_hi, trials, seed)
+    checks, failures = 0, []
+    for label, ok in CAMPAIGNS[theorem](max(n_lo, low), n_hi, trials, seed):
+        checks += 1
+        if not ok:
+            failures.append(label)
     return VerifySummary(theorem, n_lo, n_hi, trials, seed, checks, failures)

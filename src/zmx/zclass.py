@@ -119,9 +119,7 @@ def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[i
             level.append((t, m, minor))
 
 
-def _first_bad_minor(
-    a: Matrix, strict: bool = False, max_order: Optional[int] = None
-) -> tuple[Optional[int], Optional[int]]:
+def _first_bad_minor(a: Matrix, strict: bool = False) -> tuple[Optional[int], Optional[int]]:
     """The one taxonomy sweep: (order of the first negative minor, order of
     the first zero minor met before it), each None when there is none.
 
@@ -130,7 +128,7 @@ def _first_bad_minor(
     that reject zeros anyway.
     """
     zero = None
-    for order, s in _minor_signs(a, max_order):
+    for order, s in _minor_signs(a):
         if s < 0:
             return order, zero
         if s == 0 and zero is None:
@@ -184,7 +182,7 @@ def is_f0(a: Matrix, cap: int = ORDER_CAP) -> bool:
     if n < 3 or not is_z(a):
         return False
     check_order_cap(n, cap)
-    return _first_bad_minor(a, max_order=n - 1)[0] == n - 1
+    return _first_bad_minor(a)[0] == n - 1
 
 
 def l_index(a: Matrix, cap: int = ORDER_CAP) -> int:

@@ -23,6 +23,7 @@ from zmx import (
     from_cyclic_params,
     inverse,
     is_inverse_cyclic,
+    run_verify,
 )
 
 # zero-heavy small rationals, so zero pivots, sparse products and singular
@@ -234,5 +235,8 @@ def test_hot_paths_never_build_fraction_rows(monkeypatch):
     fresh = Matrix([[2, -2, -4, 0], [0, 1, 2, 0], [0, 0, -2, 0], [2, -2, -4, 1]])
     inv, closed = inverse(fresh), cyclic_inverse(fresh)
     got = (det(fresh), inv, is_inverse_cyclic(fresh), cyclic_products(fresh), closed)
+    # the oracle campaign reads entry signs and row sums off the grid
+    summary = run_verify("zclass-oracles", 1, 6, 8, 0)
     monkeypatch.undo()
     assert got[:1] + (got[1].rows,) + got[2:4] + (got[4].rows,) == want
+    assert summary.ok and summary.checks == 5 * 8

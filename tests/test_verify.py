@@ -1,11 +1,14 @@
 """Campaign runner plumbing. The heavy lifting (are the theorems true at
 scale) happens in the acceptance suite; here we pin the runner's interface:
-argument validation, determinism, and that every registered campaign runs
-clean at a small scale."""
+argument validation, determinism, that every registered campaign runs clean
+at a small scale, and that failed checks come back as their labels, in
+order."""
+
+import inspect
 
 import pytest
 
-from zmx import CAMPAIGNS, cyclic, matrix, run_verify, verify
+from zmx import CAMPAIGNS, cyclic, matrix, run_verify, verify, zclass
 
 
 def test_known_campaign_ids():
@@ -71,3 +74,63 @@ def test_cycle_matrix_campaign_inverts_each_drawn_matrix_once(monkeypatch):
     s = run_verify("cycle-matrix", 2, 5, 6, 11)
     assert s.ok and s.checks == 2 * 4 * 6
     assert len(inverted) == s.checks
+
+
+def _failing(monkeypatch, name, fails):
+    """Patch verify.<name> to return the wrong answer on the calls fails picks."""
+    real = getattr(verify, name)
+
+    def patched(*args):
+        got = real(*args)
+        return (not got if isinstance(got, bool) else None) if fails(*args) else got
+
+    monkeypatch.setattr(verify, name, patched)
+
+
+def test_failure_labels_name_the_failed_checks_in_order(monkeypatch):
+    # forward checks call verify.is_bdsw, backward ones do not
+    _failing(monkeypatch, "is_bdsw", lambda a: True)
+    s = run_verify("cycle-matrix", 2, 3, 2, 0)
+    assert s.checks == 8
+    assert s.failures == [f"cycle-matrix forward n={n} trial={t}" for n in (2, 3) for t in (0, 1)]
+
+    # the violating draws of kind 2 are the only checks that skip is_bdsw
+    s = run_verify("bdsw-z", 2, 3, 3, 0)
+    assert s.checks == 12
+    assert s.failures == [
+        "bdsw-z pos n=2 trial=0", "bdsw-z neg-even n=2 trial=0", "bdsw-z neg-odd n=3 trial=0",
+        "bdsw-z violate kind=0 n=2 trial=0",
+        "bdsw-z pos n=3 trial=1", "bdsw-z neg-even n=2 trial=1", "bdsw-z neg-odd n=3 trial=1",
+        "bdsw-z violate kind=1 n=3 trial=1",
+        "bdsw-z pos n=2 trial=2", "bdsw-z neg-even n=2 trial=2", "bdsw-z neg-odd n=3 trial=2",
+    ]
+
+
+def test_failure_labels_of_the_dense_and_bdsw_maybee_checks(monkeypatch):
+    _failing(monkeypatch, "maybee_entry", lambda a, i, j: a.n == 5)
+    s = run_verify("maybee", 4, 6, 3, 0)
+    assert s.checks == 6
+    assert s.failures == ["maybee dense n=5 trial=1", "maybee bdsw n=5 trial=1"]
+
+
+def test_failure_labels_of_the_conforming_and_broken_polyn_checks(monkeypatch):
+    # a negated verdict fails both checks, the broken one because it must
+    # find the conditions false
+    _failing(monkeypatch, "circulant_conditions", lambda alpha, mode: mode == "nonpos")
+    s = run_verify("polyn", 3, 4, 2, 0)
+    assert s.checks == 8
+    assert s.failures == [
+        f"polyn nonpos {kind} n={n} trial={t}"
+        for t, n in ((0, 3), (1, 4))
+        for kind in ("conforming", "broken")
+    ]
+
+
+def test_names_the_benchmark_reads_by_string():
+    # perfbench/ maps campaign code objects to ids and reads the rejection
+    # samplers and the sweep's max_order by name
+    assert all(inspect.isgeneratorfunction(fn) for fn in CAMPAIGNS.values())
+    assert set(verify._LOWEST_ORDER) == set(CAMPAIGNS)
+    for name in ("_draw_cyclic_signed", "_draw_cyclic_mixed", "_draw_z_matrix"):
+        assert inspect.isfunction(getattr(verify, name))
+    assert "max_order" in inspect.signature(zclass._minor_signs).parameters
