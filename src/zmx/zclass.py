@@ -3,8 +3,7 @@
 A Z-matrix has nonpositive off-diagonal entries. Writing A = tI - B with B
 nonnegative, the classes below are bands of t against the spectral radii of
 B's principal submatrices, but every predicate here is decided without
-eigenvalues: the band membership is equivalent to sign conditions on A's own
-principal minors, which are exact over Fraction.
+eigenvalues, by exact sign conditions on A's own principal minors.
 
   nonsingular M  all 2^n - 1 principal minors > 0
   M (weak)       all principal minors >= 0
@@ -15,17 +14,18 @@ principal minors, which are exact over Fraction.
 
 l_index(A) = s locates the band: s = (minimal order of a negative principal
 minor) - 1, or n when no minor is negative (s = n is M, s = n-1 is N0,
-s = n-2 is F0). Minor enumeration is exponential, so these functions carry a
-hard order cap; exceeding it raises OrderCapError. The sweep shares work
-between nested index sets: each minor is O(1) integer work, read off its
-parent set's Bareiss-reduced grid, plus one fraction-free grid step per set.
-The perron_r bisection pins the band thresholds themselves: the largest
-spectral radius over order-r principal submatrices of a nonnegative B, to
-any requested rational tolerance, using only the minor test "tI - Bhat is
-weakly M iff t >= rho(Bhat)". The bisection of a submatrix ends on a known
-grid point, so one minor test at the grid point just below the best value so
-far decides whether that submatrix could raise it; only those that could are
-bisected, and the result is the same rational.
+s = n-2 is F0). The top three bands are polynomial: a weak-M test is one
+O(n^3) fraction-free elimination, so is_m and is_nonsingular_m make one,
+is_n and is_n0 at most n + 1, and is_f0 at most 1 + n + C(n, 2). Only
+l_index and classify on a matrix below band n-2 run the exponential minor
+sweep, which reads each minor off its parent set's Bareiss-reduced grid in
+O(1) integer work; it is also the tests' oracle. Every function keeps the
+hard order cap (OrderCapError). perron_r pins the band thresholds: the
+largest spectral radius over order-r principal submatrices of a nonnegative
+B, to a rational tolerance, by bisection on "tI - Bhat is weakly M iff
+t >= rho(Bhat)". A submatrix's bisection ends on a known grid point, so one
+test at the grid point just below the best value so far decides whether
+bisecting it could raise that value; the result is the same rational.
 """
 
 from __future__ import annotations
@@ -119,56 +119,110 @@ def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[i
             level.append((t, m, minor))
 
 
-def _first_bad_minor(a: Matrix, strict: bool = False) -> tuple[Optional[int], Optional[int]]:
-    """The one taxonomy sweep: (order of the first negative minor, order of
-    the first zero minor met before it), each None when there is none.
+def _first_bad_minor(a: Matrix) -> Optional[int]:
+    """Order of the first negative principal minor, or None: the bottom-up
+    sweep, which stops there. It finds l_index below band n-2."""
+    return next((order for order, s in _minor_signs(a) if s < 0), None)
 
-    Orders are swept ascending and the sweep stops at the first negative
-    minor; with strict it also stops at the first zero minor, for callers
-    that reject zeros anyway.
+
+def _weak_m(grid, idx) -> tuple[bool, bool, Optional[int]]:
+    """(weakly M, nonsingular M, bound) for the Z-matrix grid[idx, idx]; bound
+    is None for weakly M input, and otherwise some principal minor of order
+    at most bound is negative.
+
+    One fraction-free elimination pivots on the least positive diagonal entry
+    left. After pivots on P, entry (i, j) is det A[P+i | P+j] (Sylvester), so
+    a negative diagonal entry is a negative minor of order |P|+1. The Schur
+    complement of the nonsingular-M block A[P] is again Z, and A is weakly M
+    exactly when it is. Its zero-diagonal remainder is weakly M exactly when
+    its digraph is acyclic: vertices with no out-edge are peeled off until
+    none is left. A cycle among the r left holds a chordless one, a negative
+    minor of order at most |P|+r.
     """
-    zero = None
-    for order, s in _minor_signs(a):
-        if s < 0:
-            return order, zero
-        if s == 0 and zero is None:
-            if strict:
-                return None, order
-            zero = order
-    return None, zero
+    m = [[grid[i][j] for j in idx] for i in idx]
+    prev = 1
+    while m:
+        diag = [row[i] for i, row in enumerate(m)]
+        pk = min(diag)
+        if pk < 0:
+            return False, False, len(idx) - len(m) + 1
+        if not pk:
+            pk = min([x for x in diag if x], default=0)
+            if not pk:
+                break
+        k = diag.index(pk)
+        rk = m.pop(k)
+        del rk[k]
+        rows = []
+        for ri in m:
+            f = ri.pop(k)
+            rows.append([(x * pk - f * y) // prev for x, y in zip(ri, rk)] if f else
+                        [x * pk // prev for x in ri])
+        m, prev = rows, pk
+    else:
+        return True, True, None
+    live, keep = None, list(range(len(m)))
+    while keep != live:
+        live, keep = keep, [i for i in keep if any(m[i][j] for j in keep)]
+    return not live, False, len(idx) - len(m) + len(live) if live else None
+
+
+def _band(a: Matrix, low: int, cap: int) -> tuple[int, bool]:
+    """(s, strict): s is l_index(a) if that is at least low, else below low;
+    for s >= n-1, strict tells whether every order-s principal submatrix is
+    nonsingular M.
+
+    Band k holds when every order-k principal submatrix is weakly M. Bands n,
+    n-1 and n-2 are read from the top: one weak-M test, one per index left
+    out, then one per pair of left-out indices whose own tests failed (a
+    principal submatrix of a weakly M matrix is weakly M). A failed test's
+    bound fails every band at or above it. Below n-2 the sweep finds s.
+    """
+    n, g = a.n, a._grid
+    check_order_cap(n, cap)
+    weak, strict, bound = _weak_m(g, range(n))
+    if weak:
+        return n, strict
+    top = max(low, n - 2)  # the lowest band read from the top
+    if top < bound:
+        strict, failed = True, []
+        for j in range(n):
+            weak, nonsingular, b = _weak_m(g, [i for i in range(n) if i != j])
+            strict = strict and nonsingular
+            if not weak:
+                failed.append(j)
+                bound = min(bound, b)
+                if top >= bound:
+                    break
+        if not failed:
+            return n - 1, strict
+        if top < bound and all(_weak_m(g, [k for k in range(n) if k not in (i, j)])[0]
+                               for i, j in combinations(failed, 2)):
+            return n - 2, False
+    if low > n - 3:
+        return low - 1, False
+    return _first_bad_minor(a) - 1, False
 
 
 def is_nonsingular_m(a: Matrix, cap: int = ORDER_CAP) -> bool:
     """Z and every principal minor positive."""
-    if not is_z(a):
-        return False
-    check_order_cap(a.n, cap)
-    return _first_bad_minor(a, strict=True) == (None, None)
+    return is_z(a) and _band(a, a.n, cap) == (a.n, True)
 
 
 def is_m(a: Matrix, cap: int = ORDER_CAP) -> bool:
     """Z and every principal minor nonnegative (possibly singular M)."""
-    if not is_z(a):
-        return False
-    check_order_cap(a.n, cap)
-    return _first_bad_minor(a)[0] is None
+    return is_z(a) and _band(a, a.n, cap)[0] == a.n
 
 
 def is_n(a: Matrix, cap: int = ORDER_CAP) -> bool:
     """Z of order >= 2, proper principal minors all positive, det negative."""
     n = a.n
-    if n < 2 or not is_z(a):
-        return False
-    check_order_cap(n, cap)
-    return _first_bad_minor(a, strict=True) == (n, None)
+    return n >= 2 and is_z(a) and _band(a, n - 1, cap) == (n - 1, True)
 
 
 def is_n0(a: Matrix, cap: int = ORDER_CAP) -> bool:
     """Z, proper principal minors all nonnegative, det negative."""
-    if not is_z(a):
-        return False
-    check_order_cap(a.n, cap)
-    return _first_bad_minor(a)[0] == a.n
+    return is_z(a) and _band(a, a.n - 1, cap)[0] == a.n - 1
 
 
 def is_f0(a: Matrix, cap: int = ORDER_CAP) -> bool:
@@ -179,10 +233,7 @@ def is_f0(a: Matrix, cap: int = ORDER_CAP) -> bool:
     is negative. Returns False below order 3, where the class is not defined.
     """
     n = a.n
-    if n < 3 or not is_z(a):
-        return False
-    check_order_cap(n, cap)
-    return _first_bad_minor(a)[0] == n - 1
+    return n >= 3 and is_z(a) and _band(a, n - 2, cap)[0] == n - 2
 
 
 def l_index(a: Matrix, cap: int = ORDER_CAP) -> int:
@@ -194,9 +245,7 @@ def l_index(a: Matrix, cap: int = ORDER_CAP) -> int:
     """
     if not is_z(a):
         raise NotZMatrixError("l_index is defined for Z-matrices only")
-    check_order_cap(a.n, cap)
-    neg = _first_bad_minor(a)[0]
-    return a.n if neg is None else neg - 1
+    return _band(a, 0, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -215,8 +264,8 @@ class ClassReport:
 
 
 def classify(a: Matrix, cap: int = ORDER_CAP) -> ClassReport:
-    """Full taxonomy report from one minor sweep, which stops at the first
-    negative minor.
+    """Full taxonomy report from one band reading: weak-M tests from the
+    top down to band n-2, the minor sweep below.
 
     Non-Z input still gets determinant, nonsingularity and irreducibility;
     the class flags are False and l_index is None there.
@@ -226,27 +275,28 @@ def classify(a: Matrix, cap: int = ORDER_CAP) -> ClassReport:
     n = a.n
     if not is_z(a):
         return ClassReport(n, False, d != 0, d, irr, False, False, False, False, False, None)
-    check_order_cap(n, cap)
-    neg, zero = _first_bad_minor(a)
+    s, strict = _band(a, 0, cap)
     return ClassReport(
         n=n,
         is_z=True,
         is_nonsingular=d != 0,
         determinant=d,
         irreducible=irr,
-        is_m=neg is None,
-        is_nonsingular_m=neg is None and zero is None,
-        is_n=n >= 2 and neg == n and zero is None,
-        is_n0=neg == n,
-        is_f0=n >= 3 and neg == n - 1,
-        l_index=n if neg is None else neg - 1,
+        is_m=s == n,
+        is_nonsingular_m=s == n and strict,
+        is_n=n >= 2 and s == n - 1 and strict,
+        is_n0=s == n - 1,
+        is_f0=n >= 3 and s == n - 2,
+        l_index=s,
     )
 
 
 def _is_weak_m_shift(bhat: Matrix, t: Fraction) -> bool:
-    # tI - bhat is a Z-matrix for any nonnegative bhat
-    shifted = t * Matrix.identity(bhat.n) - bhat
-    return _first_bad_minor(shifted)[0] is None
+    # with t = p/q and bhat = G/L, tI - bhat = (pL*I - qG) / (qL), a Z-matrix
+    # for any nonnegative bhat; the positive qL keeps its minor signs
+    pl, q = t.numerator * bhat._lcm, t.denominator
+    grid = [[pl * (i == j) - q * x for j, x in enumerate(row)] for i, row in enumerate(bhat._grid)]
+    return _weak_m(grid, range(bhat.n))[0]
 
 
 def _rho_bisect(bhat: Matrix, tol: Fraction) -> Fraction:

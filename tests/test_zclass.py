@@ -403,6 +403,29 @@ def test_taxonomy_matches_brute_force_minors(a):
     assert {name: getattr(r, name) for name in want} == want
 
 
+def count_work(monkeypatch):
+    """Count weak-M eliminations and the items every minor sweep yields."""
+    work = {"eliminations": 0, "minors": 0}
+    weak_m, sweep = zclass._weak_m, zclass._minor_signs
+
+    def counted_weak_m(grid, idx):
+        work["eliminations"] += 1
+        return weak_m(grid, idx)
+
+    def counted_sweep(a, max_order=None):
+        for item in sweep(a, max_order):
+            work["minors"] += 1
+            yield item
+
+    monkeypatch.setattr(zclass, "_weak_m", counted_weak_m)
+    monkeypatch.setattr(zclass, "_minor_signs", counted_sweep)
+    return work
+
+
+# a_11 = 0 and the leading 2x2 minor is -1: band 1, below n - 2 = 2
+LOW_BAND4 = mk([[0, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+
+
 def test_sweeps_stop_at_the_first_deciding_minor(monkeypatch):
     seen = []
     sweep = zclass._minor_signs
@@ -413,17 +436,155 @@ def test_sweeps_stop_at_the_first_deciding_minor(monkeypatch):
             yield item
 
     monkeypatch.setattr(zclass, "_minor_signs", counted)
-    # a_11 = 0 and the leading 2x2 minor is -1
-    a = mk([[0, -1, 0], [-1, 2, -1], [0, -1, 2]])
-    for strict_view in (is_nonsingular_m, is_n):
-        seen.clear()
-        assert not strict_view(a)
-        assert seen == [(1, 0)]
+    # the four order-1 minors, then the first order-2 minor, which is negative
+    first_negative = [(1, 0), (1, 1), (1, 1), (1, 1), (2, -1)]
+    assert l_index(LOW_BAND4) == 1
+    assert seen == first_negative
     seen.clear()
+    r = classify(LOW_BAND4)
+    assert r.l_index == 1 and not (r.is_m or r.is_n0 or r.is_f0)
+    assert seen == first_negative
+    # the predicates read the top bands only and never sweep
+    seen.clear()
+    for view in (is_m, is_nonsingular_m, is_n, is_n0, is_f0):
+        assert not view(LOW_BAND4)
+    assert seen == []
+
+
+def type_d_inverse(params):
+    return inverse(type_d([Fraction(x) for x in params]))
+
+
+def test_top_bands_take_polynomially_many_eliminations(monkeypatch):
+    n = 7
+    # l_index of the type-D inverse is (count of nonpositive parameters) - 1
+    cases = {
+        n: mk([[n if i == j else -((i + j) % 2) for j in range(n)] for i in range(n)]),
+        n - 1: type_d_inverse(range(-n, 0)),  # N
+        n - 2: type_d_inverse(range(-5, 2)),  # F0
+        2: type_d_inverse(range(-2, 5)),
+    }
+    n0 = type_d_inverse(range(-6, 1))
+    assert is_n0(n0) and not is_n(n0) and is_n(cases[n - 1])
+    assert {s: l_index(a) for s, a in cases.items()} == {s: s for s in cases}
+    work = count_work(monkeypatch)
+    limits = {is_m: 1, is_nonsingular_m: 1, is_n: n + 1, is_n0: n + 1, is_f0: 1 + n + comb(n, 2)}
+    for view, limit in limits.items():
+        for a in (*cases.values(), n0):
+            work.update(eliminations=0, minors=0)
+            view(a)
+            assert work["minors"] == 0
+            assert 1 <= work["eliminations"] <= limit
+            if a is cases[n]:
+                assert work["eliminations"] == 1
+    # below band n - 2, l_index tests the whole matrix and then sweeps
+    work.update(eliminations=0, minors=0)
+    assert l_index(LOW_BAND4) == 1
+    assert work == {"eliminations": 1, "minors": 5}
+
+
+def grid_minors(a):
+    """{order: [the sign of every principal minor of that order]}, each by its
+    own elimination of a hand-cleared integer grid."""
+    n = a.n
+    lcm = math.lcm(*(x.denominator for row in a.rows for x in row))
+    grid = [[int(x * lcm) for x in row] for row in a.rows]
+    signs = {}
+    for k in range(1, n + 1):
+        signs[k] = []
+        for c in combinations(range(n), k):
+            d = _bareiss([[grid[r][q] for q in c] for r in c])
+            signs[k].append((d > 0) - (d < 0))
+    return signs
+
+
+@st.composite
+def z_matrices(draw):
+    """Z-matrices of orders 1 to 9 whose eliminations meet zero pivots and
+    zero-diagonal remainders: zero-heavy entries, an all-zero diagonal, or a
+    permuted block-triangular matrix of directed-cycle Laplacians (singular
+    irreducible M blocks), some shifted by -1 or +1 on the diagonal."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("zero-heavy", "zero-diagonal", "blocks")))
+    off = st.sampled_from((0, 0, 0, -1, -2))
+    if kind != "blocks":
+        diag = st.sampled_from((0, 0, 1, 2, 3, 5) if kind == "zero-heavy" else (0,))
+        return mk([[draw(diag) if i == j else draw(off) for j in range(n)] for i in range(n)])
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        k = draw(st.integers(1, n - start))
+        shift = draw(st.sampled_from((0, 0, 0, 1, -1)))
+        for i in range(start, start + k):
+            rows[i][i] = shift
+            if k > 1:
+                w = draw(st.integers(1, 3))
+                rows[i][i] += w
+                rows[i][start + (i - start + 1) % k] = -w
+            for j in range(start):
+                rows[i][j] = draw(off)
+        start += k
+    perm = draw(st.permutations(range(n)))
+    return mk([[rows[i][j] for j in perm] for i in perm])
+
+
+@settings(max_examples=300, deadline=None)
+@given(z_matrices())
+@example(mk([[1, -1, 0], [0, 1, -1], [-1, 0, 1]]))  # singular irreducible M
+@example(mk([[0, -1, 0], [0, 0, -1], [-1, 0, 0]]))  # a zero-diagonal 3-cycle
+@example(mk([[0, -1], [0, 0]]))  # an acyclic zero-diagonal remainder
+def test_weak_m_matches_the_minor_signs(a):
+    n = a.n
+    signs = grid_minors(a)
+    first_negative = min((k for k in signs if -1 in signs[k]), default=None)
+    assert zclass._first_bad_minor(a) == first_negative
+    weak, nonsingular, bound = zclass._weak_m(a._grid, range(n))
+    assert weak == (first_negative is None)
+    assert nonsingular == all(s > 0 for k in signs for s in signs[k])
+    if weak:
+        assert bound is None
+    else:
+        assert first_negative <= bound <= n
+
+
+@settings(max_examples=300, deadline=None)
+@given(z_matrices())
+@example(LOW_BAND4)
+@example(type_d_inverse(range(-9, 0)))  # N
+@example(type_d_inverse(range(-8, 1)))  # N0, not N
+@example(type_d_inverse(range(-7, 2)))  # F0
+def test_views_match_the_minor_signs(a):
+    n = a.n
+    signs = grid_minors(a)
+    proper = [s for k in range(1, n) for s in signs[k]]
+    det_sign = signs[n][0]
+    negative_orders = [k for k in signs if -1 in signs[k]]
+    want = {
+        "is_m": not negative_orders,
+        "is_nonsingular_m": all(s > 0 for k in signs for s in signs[k]),
+        "is_n": n >= 2 and all(s > 0 for s in proper) and det_sign < 0,
+        "is_n0": all(s >= 0 for s in proper) and det_sign < 0,
+        "is_f0": n >= 3
+        and all(s >= 0 for k in range(1, n - 1) for s in signs[k])
+        and -1 in signs[n - 1],
+        "l_index": negative_orders[0] - 1 if negative_orders else n,
+    }
+    views = {"is_m": is_m, "is_nonsingular_m": is_nonsingular_m, "is_n": is_n,
+             "is_n0": is_n0, "is_f0": is_f0, "l_index": l_index}
+    assert {name: view(a) for name, view in views.items()} == want
     r = classify(a)
-    assert r.l_index == 1 and not r.is_m
-    # the three order-1 minors, then the first order-2 minor, which is negative
-    assert seen == [(1, 0), (1, 1), (1, 1), (2, -1)]
+    assert {name: getattr(r, name) for name in want} == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonneg_case(), st.fractions(min_value=0, max_value=16, max_denominator=12))
+@example((mk([[1, 1, 1]] * 3), 1, TOL), Fraction(3))  # t at the spectral radius
+@example((mk([[1, 1, 1]] * 3), 1, TOL), Fraction(35, 12))
+@example((Matrix.zeros(2), 1, TOL), Fraction(0))
+def test_shift_test_matches_matrix_arithmetic(case, t):
+    b = case[0]
+    shifted = t * Matrix.identity(b.n) - b
+    assert zclass._is_weak_m_shift(b, t) == (zclass._first_bad_minor(shifted) is None)
 
 
 @st.composite
