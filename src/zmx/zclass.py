@@ -134,10 +134,10 @@ def _weak_m(grid, idx) -> tuple[bool, bool, Optional[int]]:
     left. After pivots on P, entry (i, j) is det A[P+i | P+j] (Sylvester), so
     a negative diagonal entry is a negative minor of order |P|+1. The Schur
     complement of the nonsingular-M block A[P] is again Z, and A is weakly M
-    exactly when it is. Its zero-diagonal remainder is weakly M exactly when
-    its digraph is acyclic: vertices with no out-edge are peeled off until
-    none is left. A cycle among the r left holds a chordless one, a negative
-    minor of order at most |P|+r.
+    exactly when it is. Once its diagonal is all zero, it is weakly M exactly
+    when its digraph is acyclic: vertices with no out-edge are peeled off
+    until none is left. A cycle among the r left holds a chordless one, a
+    negative minor of order at most |P|+r.
     """
     m = [[grid[i][j] for j in idx] for i in idx]
     prev = 1
