@@ -5,9 +5,9 @@ exactly when a_ij != 0; loops count. Irreducibility of A is strong
 connectivity of D(A), with n = 1 irreducible by convention. Path enumeration
 is exhaustive DFS over simple paths, so it carries a hard order cap (the
 dense worst case is factorial); exceeding the cap raises OrderCapError
-rather than silently grinding. maybee_entry sums the path formula in
-integers with a per-call table of the minors off each path's vertex set, so
-it makes at most 1 + 2^(n-2) eliminations however many paths there are.
+rather than silently grinding. maybee_entry does not walk the paths: it
+sums the path formula in integers by vertex set, O(n^2 * 2^n) work, and
+makes one elimination per vertex set, at most 1 + 2^(n-2) for an entry.
 """
 
 from __future__ import annotations
@@ -167,6 +167,34 @@ def is_unipathic(d: Digraph, cap: int = ORDER_CAP) -> bool:
     return True
 
 
+def _path_sums(grid: list[list[int]], i: int, j: int) -> dict[int, int]:
+    """{vertex mask: sum of (-1)^l(p) * G[p]} over the simple paths p from i to j.
+
+    Indices are 0-based, i != j, and bit k of a mask is vertex k, endpoints
+    included. A frontier DP takes one edge per step and keeps, for each
+    vertex mask, the signed product sum of the paths ending at each vertex,
+    so paths on the same vertex set are summed together: O(n^2 * 2^n)
+    integer work rather than one walk per path.
+    """
+    adj = [[(w, 1 << w, g) for w, g in enumerate(row) if g and w != u and w != j]
+           for u, row in enumerate(grid)]
+    sums: dict[int, int] = {}
+    frontier: dict[int, dict[int, int]] = {1 << i: {i: 1}}
+    while frontier:
+        step: dict[int, dict[int, int]] = {}
+        for on, ends in frontier.items():
+            total = 0
+            for u, signed in ends.items():
+                total -= signed * grid[u][j]
+                for w, bit, g in adj[u]:
+                    if not on & bit:
+                        row = step.setdefault(on | bit, {})
+                        row[w] = row.get(w, 0) - signed * g
+            sums[on | 1 << j] = total
+        frontier = step
+    return sums
+
+
 def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     """Entry (i, j) of inverse(a) computed by the path formula.
 
@@ -180,11 +208,11 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     The empty minor (paths covering every vertex) contributes 1.
 
     The sum runs in integers: with A = G / L for the lcm L of the entry
-    denominators, each term is L * G[p] * det G[V(p)] / det G. A DFS over
-    the simple paths carries the signed product (-1)^l(p) G[p] and the
-    bitmask of the vertices on p, and the minors det G[V(p)] are memoised
-    per call by that mask, so paths with the same vertex set share one
-    elimination: at most 2^(n-2) minors, however many paths there are.
+    denominators, each term is L * G[p] * det G[V(p)] / det G. Paths with
+    the same vertex set share their minor, so _path_sums groups the signed
+    products (-1)^l(p) G[p] by vertex set in O(n^2 * 2^n) integer work, and
+    each nonzero group costs one minor: at most 1 + 2^(n-2) eliminations,
+    however many paths there are.
     """
     n = a.n
     if not (1 <= i <= n and 1 <= j <= n):
@@ -201,22 +229,11 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     if i == j:
         return Fraction(lcm * minor([k for k in range(n) if k != i]), d_g)
     check_order_cap(n, cap)
-    adj = [[w for w in range(n) if w != u and grid[u][w]] for u in range(n)]
-    off_minors: dict[int, int] = {}
-
-    def walk(u: int, on: int, signed: int) -> int:
-        total = 0
-        for w in adj[u]:
-            if w == j:
-                m = off_minors.get(on)
-                if m is None:
-                    m = off_minors[on] = minor([k for k in range(n) if not on >> k & 1 and k != j])
-                total -= signed * grid[u][j] * m
-            elif not on >> w & 1:
-                total += walk(w, on | 1 << w, -signed * grid[u][w])
-        return total
-
-    return Fraction(lcm * walk(i, 1 << i, 1), d_g)
+    total = 0
+    for on, signed in _path_sums(grid, i, j).items():
+        if signed:
+            total += signed * minor([k for k in range(n) if not on >> k & 1])
+    return Fraction(lcm * total, d_g)
 
 
 def to_dot(d: Digraph) -> str:

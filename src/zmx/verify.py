@@ -277,7 +277,7 @@ def _maybee_matches(a, inv):
 
 
 def _maybee(n_lo, n_hi, trials, seed):
-    # the dense half walks every path, so it stops at order 5
+    # the dense half stops at order 5 so that the campaign keeps its fixed sizes
     dense = list(range(n_lo, min(n_hi, 5) + 1))
     uni = list(range(n_lo, n_hi + 1))
     for t in range(trials):

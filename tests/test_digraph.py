@@ -19,6 +19,7 @@ from zmx import (
     digraph_of,
     det,
     enumerate_paths,
+    from_cyclic_params,
     inverse,
     is_irreducible,
     is_unipathic,
@@ -27,6 +28,7 @@ from zmx import (
     to_dot,
 )
 from zmx import digraph
+from zmx.sampling import random_bdsw, random_nonsingular
 
 
 def mk(rows):
@@ -225,6 +227,65 @@ def test_maybee_entry_shares_minors_between_paths(monkeypatch):
     # subsets of the five vertices other than the endpoints
     assert calls[0] == 7
     assert len(calls) <= 1 + 2 ** 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_heavy())
+def test_path_sums_group_the_listed_paths_by_vertex_set(a):
+    n, grid = a.n, a._grid
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            want: dict[int, int] = {}
+            for p in enumerate_paths(digraph_of(a), i, j):
+                mask = sum(1 << (v - 1) for v in p.vertices)
+                term = (-1) ** p.length
+                for u, w in zip(p.vertices, p.vertices[1:]):
+                    term *= grid[u - 1][w - 1]
+                want[mask] = want.get(mask, 0) + term
+            got = digraph._path_sums(grid, i - 1, j - 1)
+            assert {m: s for m, s in got.items() if s} == {m: s for m, s in want.items() if s}
+
+
+def test_maybee_entry_at_the_cap_order(monkeypatch):
+    # a dense order-12 inverse cyclic matrix: some 10^7 simple paths run
+    # from v3 to v9, on 2^10 vertex sets
+    n = 12
+    a = from_cyclic_params([1 + k % 3 for k in range(n)],
+                           [(-1) ** k * (1 + k % 2) for k in range(n - 1)], 3)
+    assert all(all(row) for row in a._grid)
+    calls = []
+    bareiss = digraph._bareiss
+
+    def counted(m):
+        calls.append(len(m))
+        return bareiss(m)
+
+    monkeypatch.setattr(digraph, "_bareiss", counted)
+    assert maybee_entry(a, 3, 9) == inverse(a).entry(3, 9)
+    assert calls[0] == n
+    assert len(calls) <= 1 + 2 ** 10
+
+
+@pytest.mark.parametrize("kind", ["dense", "bdsw"])
+def test_maybee_entry_follows_a_permutation_of_the_vertices(kind):
+    rng = random.Random(f"maybee-permutation|{kind}")
+    for n in range(2, 10):
+        a = random_nonsingular(rng, n) if kind == "dense" else random_bdsw(rng, n)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        rows = a.rows
+        # (P A P^T)[sigma(r), sigma(c)] = a[r, c]
+        pap = [[Fraction(0)] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(n):
+                pap[sigma[r]][sigma[c]] = rows[r][c]
+        pap = Matrix(pap)
+        for _ in range(4):
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            assert (maybee_entry(pap, sigma[i - 1] + 1, sigma[j - 1] + 1)
+                    == maybee_entry(a, i, j))
 
 
 def test_dot_export():
