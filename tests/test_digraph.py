@@ -232,13 +232,13 @@ def test_maybee_entry_shares_minors_between_paths(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(zero_heavy())
 def test_path_sums_group_the_listed_paths_by_vertex_set(a):
-    n, grid = a.n, a._grid
+    n, grid, d = a.n, a._grid, digraph_of(a)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
             want: dict[int, int] = {}
-            for p in enumerate_paths(digraph_of(a), i, j):
+            for p in enumerate_paths(d, i, j):
                 mask = sum(1 << (v - 1) for v in p.vertices)
                 term = (-1) ** p.length
                 for u, w in zip(p.vertices, p.vertices[1:]):
@@ -273,19 +273,13 @@ def test_maybee_entry_follows_a_permutation_of_the_vertices(kind):
     rng = random.Random(f"maybee-permutation|{kind}")
     for n in range(2, 10):
         a = random_nonsingular(rng, n) if kind == "dense" else random_bdsw(rng, n)
-        sigma = list(range(n))
-        rng.shuffle(sigma)
+        perm = list(range(n))
+        rng.shuffle(perm)
         rows = a.rows
-        # (P A P^T)[sigma(r), sigma(c)] = a[r, c]
-        pap = [[Fraction(0)] * n for _ in range(n)]
-        for r in range(n):
-            for c in range(n):
-                pap[sigma[r]][sigma[c]] = rows[r][c]
-        pap = Matrix(pap)
+        pap = Matrix([[rows[r][c] for c in perm] for r in perm])
         for _ in range(4):
-            i, j = rng.randint(1, n), rng.randint(1, n)
-            assert (maybee_entry(pap, sigma[i - 1] + 1, sigma[j - 1] + 1)
-                    == maybee_entry(a, i, j))
+            k, l = rng.randrange(n), rng.randrange(n)
+            assert maybee_entry(pap, k + 1, l + 1) == maybee_entry(a, perm[k] + 1, perm[l] + 1)
 
 
 def test_dot_export():
