@@ -30,7 +30,7 @@ from zmx.cyclic import (
     is_full,
     is_inverse_cyclic,
 )
-from zmx.digraph import digraph_of, is_irreducible, is_unipathic, maybee_entry, to_dot
+from zmx.digraph import _maybee_inverse, digraph_of, is_irreducible, is_unipathic, to_dot
 from zmx.errors import (
     ORDER_CAP,
     MatrixParseError,
@@ -226,12 +226,7 @@ def _cmd_invert(args) -> int:
     if args.method == "cyclic":
         inv = cyclic_inverse(a)
     elif args.method == "maybee":
-        inv = Matrix(
-            [
-                [maybee_entry(a, i, j, cap=args.cap) for j in range(1, a.n + 1)]
-                for i in range(1, a.n + 1)
-            ]
-        )
+        inv = _maybee_inverse(a, args.cap)
     else:
         inv = inverse(a)
     print(serialize_matrix(inv), end="")
@@ -298,7 +293,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     lo, hi = args.n
-    summary = run_verify(args.theorem, lo, hi, args.trials, args.seed)
+    summary = run_verify(args.theorem, lo, hi, args.trials, args.seed, cap=args.cap)
     print(f"theorem: {summary.theorem}")
     print(f"orders: {summary.n_lo}..{summary.n_hi}   trials: {summary.trials}   seed: {summary.seed}")
     print(f"checks: {summary.checks}")

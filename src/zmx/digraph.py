@@ -5,9 +5,10 @@ exactly when a_ij != 0; loops count. Irreducibility of A is strong
 connectivity of D(A), with n = 1 irreducible by convention. Path enumeration
 is exhaustive DFS over simple paths, so it carries a hard order cap (the
 dense worst case is factorial); exceeding the cap raises OrderCapError
-rather than silently grinding. maybee_entry does not walk the paths: it
-sums the path formula in integers by vertex set, O(n^2 * 2^n) work, and
-makes one elimination per vertex set, at most 1 + 2^(n-2) for an entry.
+rather than silently grinding; both walks keep an explicit stack, not the
+call stack. maybee_entry does not walk the paths: it sums the path formula
+by vertex set in O(n^2 * 2^n) integer work, its off-path minors read from
+the principal-minor sweep; _maybee_inverse does so a row at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
-from zmx.matrix import Matrix, _bareiss
+from zmx.matrix import Matrix, _bareiss, _principal_minors
 
 
 @dataclass(frozen=True)
@@ -119,19 +120,19 @@ def enumerate_paths(d: Digraph, i: int, j: int, cap: int = ORDER_CAP) -> list[Pa
     trail = [i]
     on_trail = [False] * (d.n + 1)
     on_trail[i] = True
-
-    def walk(u: int) -> None:
-        for w in adj[u]:
+    stack = [iter(adj[i])]  # one neighbour iterator per trail vertex
+    while stack:
+        for w in stack[-1]:
             if w == j:
                 found.append(tuple(trail) + (j,))
             elif not on_trail[w]:
                 on_trail[w] = True
                 trail.append(w)
-                walk(w)
-                trail.pop()
-                on_trail[w] = False
-
-    walk(i)
+                stack.append(iter(adj[w]))
+                break
+        else:
+            stack.pop()
+            on_trail[trail.pop()] = False
     found.sort(key=lambda vs: (len(vs), vs))
     return [Path(vs, d.n) for vs in found]
 
@@ -149,50 +150,59 @@ def is_unipathic(d: Digraph, cap: int = ORDER_CAP) -> bool:
         arrived = [False] * (d.n + 1)
         on_trail = [False] * (d.n + 1)
         on_trail[source] = True
-
-        def second_arrival(u: int) -> bool:
-            for w in adj[u]:
+        trail, stack = [source], [iter(adj[source])]
+        while stack:
+            for w in stack[-1]:
                 if on_trail[w]:
                     continue
                 if arrived[w]:
-                    return True
+                    return False
                 arrived[w] = on_trail[w] = True
-                if second_arrival(w):
-                    return True
-                on_trail[w] = False
-            return False
-
-        if second_arrival(source):
-            return False
+                trail.append(w)
+                stack.append(iter(adj[w]))
+                break
+            else:
+                stack.pop()
+                on_trail[trail.pop()] = False
     return True
 
 
-def _path_sums(grid: list[list[int]], i: int, j: int) -> dict[int, int]:
-    """{vertex mask: sum of (-1)^l(p) * G[p]} over the simple paths p from i to j.
+def _path_sums(grid: list[list[int]], i: int, through) -> dict[int, dict[int, int]]:
+    """{vertex mask: {endpoint: sum of (-1)^l(p) * G[p]}} over the simple paths
+    p from i whose inner vertices all lie in through, to any endpoint but i.
 
-    Indices are 0-based, i != j, and bit k of a mask is vertex k, endpoints
-    included. A frontier DP takes one edge per step and keeps, for each
-    vertex mask, the signed product sum of the paths ending at each vertex,
-    so paths on the same vertex set are summed together: O(n^2 * 2^n)
-    integer work rather than one walk per path.
+    Indices are 0-based, and bit k of a mask is vertex k, endpoints included.
+    A frontier DP takes one edge per step and keeps, for each vertex mask,
+    the signed product sum of the paths ending at each vertex, so paths on
+    the same vertex set are summed together: O(n^2 * 2^n) integer work
+    rather than one walk per path. through = V - {i, j} gives the paths from
+    i to j; through = V - {i} gives every endpoint of row i at once.
     """
-    adj = [[(w, 1 << w, g) for w, g in enumerate(row) if g and w != u and w != j]
-           for u, row in enumerate(grid)]
-    sums: dict[int, int] = {}
+    go = sum(1 << k for k in through) | 1 << i
+    # only i and the vertices in through are left again; no path re-enters i
+    adj = [[(w, 1 << w, g) for w, g in enumerate(row) if g and w != u and w != i]
+           if go >> u & 1 else [] for u, row in enumerate(grid)]
+    sums: dict[int, dict[int, int]] = {}
     frontier: dict[int, dict[int, int]] = {1 << i: {i: 1}}
     while frontier:
         step: dict[int, dict[int, int]] = {}
         for on, ends in frontier.items():
-            total = 0
             for u, signed in ends.items():
-                total -= signed * grid[u][j]
                 for w, bit, g in adj[u]:
                     if not on & bit:
                         row = step.setdefault(on | bit, {})
                         row[w] = row.get(w, 0) - signed * g
-            sums[on | 1 << j] = total
+        sums.update(step)
         frontier = step
     return sums
+
+
+def _det_g(grid) -> int:
+    """det G for the integer grid G; raises SingularMatrixError when it is 0."""
+    d_g = _bareiss([list(row) for row in grid])
+    if d_g == 0:
+        raise SingularMatrixError("matrix is singular, no inverse exists")
+    return d_g
 
 
 def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
@@ -210,30 +220,58 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     The sum runs in integers: with A = G / L for the lcm L of the entry
     denominators, each term is L * G[p] * det G[V(p)] / det G. Paths with
     the same vertex set share their minor, so _path_sums groups the signed
-    products (-1)^l(p) G[p] by vertex set in O(n^2 * 2^n) integer work, and
-    each nonzero group costs one minor: at most 1 + 2^(n-2) eliminations,
-    however many paths there are.
+    products (-1)^l(p) G[p] by vertex set in O(n^2 * 2^n) integer work. The
+    off-path minors are principal minors of G over V - {i, j}, which one
+    principal-minor sweep reads off each other in O(1) integer work apiece;
+    only det G and sets below a zero minor are eliminated from scratch.
     """
     n = a.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices must lie in 1..{n}")
     lcm, grid = a._lcm, a._grid
-    d_g = _bareiss([list(row) for row in grid])
-    if d_g == 0:
-        raise SingularMatrixError("matrix is singular, no inverse exists")
-
-    def minor(ks: list[int]) -> int:
-        return _bareiss([[grid[r][c] for c in ks] for r in ks]) if ks else 1
-
+    d_g = _det_g(grid)
     i, j = i - 1, j - 1
+    others = [k for k in range(n) if k != i and k != j]
     if i == j:
-        return Fraction(lcm * minor([k for k in range(n) if k != i]), d_g)
+        return Fraction(lcm * (_bareiss([[grid[r][c] for c in others] for r in others])
+                               if others else 1), d_g)
     check_order_cap(n, cap)
-    total = 0
-    for on, signed in _path_sums(grid, i, j).items():
-        if signed:
-            total += signed * minor([k for k in range(n) if not on >> k & 1])
-    return Fraction(lcm * total, d_g)
+    sums = {on: ends[j] for on, ends in _path_sums(grid, i, others).items() if ends.get(j)}
+    full = (1 << n) - 1
+    # every off-path set lies among the vertices some path misses, and the
+    # largest sits off the shortest path
+    spare = [k for k in others if any(not on >> k & 1 for on in sums)]
+    top = n - min((on.bit_count() for on in sums), default=n)
+    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, spare, top)}
+    return Fraction(lcm * sum(s * minors[full ^ on] for on, s in sums.items()), d_g)
+
+
+def _maybee_inverse(a: Matrix, cap: int = ORDER_CAP) -> Matrix:
+    """inverse(a) by the path formula of maybee_entry, one row at a time.
+
+    det G is eliminated once, and one principal-minor sweep over V gives
+    every off-path minor; row i is then one _path_sums from i, each state
+    (vertex mask, endpoint j) adding its sum times det G[V - mask] to entry
+    (i, j). Errors come in maybee_entry's order: SingularMatrixError, then
+    the order cap, which an order-1 matrix (a diagonal only) never meets.
+    """
+    n, lcm, grid = a.n, a._lcm, a._grid
+    d_g = _det_g(grid)
+    if n > 1:
+        check_order_cap(n, cap)
+    full = (1 << n) - 1
+    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, range(n), n - 1)}
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = minors[full ^ 1 << i]
+        for on, ends in _path_sums(grid, i, [k for k in range(n) if k != i]).items():
+            m = minors[full ^ on]
+            if m:
+                for j, s in ends.items():
+                    row[j] += s * m
+        rows.append([lcm * x for x in row])
+    return Matrix._from_grid(d_g, rows)
 
 
 def to_dot(d: Digraph) -> str:

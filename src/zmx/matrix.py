@@ -11,7 +11,8 @@ convention used in the docs, error messages and the CLI formats.
 Arithmetic runs on G and re-canonicalises with one gcd pass. det and inverse
 run one fraction-free Bareiss elimination over G (det A = det G / L^n), the
 inverse Gauss-Jordan style on [G | L*I], whose right block ends as the last
-pivot times A^-1.
+pivot times A^-1. _principal_minors is the one principal-minor sweep, shared
+by the Z-matrix taxonomy and the path formula for inverse entries.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from zmx.errors import SingularMatrixError
 
@@ -252,6 +253,51 @@ def _bareiss(m: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[-1][n - 1]
+
+
+def _principal_minors(grid, idx, max_order: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
+    """Yield (order, mask, det grid[S, S]) for the nonempty subsets S of the
+    0-based index list idx, up to max_order: orders ascending, and within an
+    order the sets in combinations order over idx. Bit k of mask is index k.
+
+    Each set S keeps its Bareiss-reduced grid over the positions of idx after
+    S's last, whose entry (i, j) is det grid[S+i | S+j] by Sylvester's
+    identity. The minor of S+p is that grid's diagonal entry at p, and one
+    fraction-free step, divided by det grid[S], gives the grid of S+p: O(1)
+    integer work per minor. The step is undefined below a zero minor, so sets
+    there are eliminated from scratch. A level's grids are built only once
+    the next order is asked for.
+    """
+    idx = list(idx)
+    n = len(idx)
+    top = n if max_order is None else min(max_order, n)
+    # (positions, mask, grid or None, minor) for the sets that have children
+    level = [((), 0, [[grid[r][c] for c in idx] for r in idx], 1)]
+    for order in range(1, top + 1):
+        grown = []
+        for s, mask, m, d in level:
+            lo = s[-1] + 1 if s else 0
+            for p in range(lo, n):
+                t, tmask = s + (p,), mask | 1 << idx[p]
+                if m is None:
+                    ks = [idx[q] for q in t]
+                    minor = _bareiss([[grid[r][c] for c in ks] for r in ks])
+                else:
+                    minor = m[p - lo][p - lo]
+                yield order, tmask, minor
+                if p + 1 < n:
+                    grown.append((t, tmask, m if d else None, d, minor))
+        if order == top:
+            return
+        level = []
+        for t, tmask, m, d, minor in grown:
+            if m is not None:
+                # m spans the last len(m) positions; t's last position is row k
+                k = t[-1] + len(m) - n
+                rk = m[k]
+                m = [[(ri[j] * minor - ri[k] * rk[j]) // d for j in range(k + 1, len(m))]
+                     for ri in m[k + 1:]]
+            level.append((t, tmask, m, minor))
 
 
 def det(a: Matrix) -> Fraction:

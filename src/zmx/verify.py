@@ -25,7 +25,8 @@ from zmx.cyclic import (
     is_inverse_cyclic,
     roundtrip_check,
 )
-from zmx.digraph import digraph_of, is_irreducible, is_unipathic, maybee_entry
+from zmx.digraph import _maybee_inverse, digraph_of, is_irreducible, is_unipathic
+from zmx.errors import ORDER_CAP
 from zmx.matrix import det, inverse
 from zmx.sampling import (
     forced_singular_cyclic_params,
@@ -61,7 +62,7 @@ def _rng(seed, *key) -> random.Random:
     return random.Random(f"{seed}|" + "|".join(map(str, key)))
 
 
-def _det_formula(n_lo, n_hi, trials, seed):
+def _det_formula(n_lo, n_hi, trials, seed, cap):
     for n in range(n_lo, n_hi + 1):
         for t in range(trials):
             rng = _rng(seed, "det-formula", n, t)
@@ -77,7 +78,7 @@ def _det_formula(n_lo, n_hi, trials, seed):
             )
 
 
-def _cycle_matrix(n_lo, n_hi, trials, seed):
+def _cycle_matrix(n_lo, n_hi, trials, seed, cap):
     for n in range(n_lo, n_hi + 1):
         for t in range(trials):
             rng = _rng(seed, "cycle-matrix", n, t)
@@ -117,7 +118,7 @@ def _draw_cyclic_mixed(rng, n):
             return from_cyclic_params(diag, sup, corner)
 
 
-def _bdsw_z(n_lo, n_hi, trials, seed):
+def _bdsw_z(n_lo, n_hi, trials, seed, cap):
     orders = list(range(n_lo, n_hi + 1))
     # label, orders, sign, d - c > 0, verdict, what the inverse must be
     blocks = [
@@ -133,7 +134,7 @@ def _bdsw_z(n_lo, n_hi, trials, seed):
             a = _draw_cyclic_signed(_rng(seed, "bdsw-z", label, n, t), n, sign, e_positive)
             inv = inverse(a)
             yield f"bdsw-z {label} n={n} trial={t}", (
-                bdsw_sign_classify(a) is verdict and is_bdsw(inv) and conforms(inv)
+                bdsw_sign_classify(a) is verdict and is_bdsw(inv) and conforms(inv, cap)
             )
         # violating parameters must land on Neither
         n = orders[t % len(orders)]
@@ -147,7 +148,7 @@ def _bdsw_z(n_lo, n_hi, trials, seed):
                                           ("neg", n % 2 == 0, is_n)][kind]
             a = _draw_cyclic_signed(rng, n, sign, e_positive)
             inv = inverse(a)
-            ok = bdsw_sign_classify(a) is Verdict.NEITHER and is_bdsw(inv) and not conforms(inv)
+            ok = bdsw_sign_classify(a) is Verdict.NEITHER and is_bdsw(inv) and not conforms(inv, cap)
         yield f"bdsw-z violate kind={kind} n={n} trial={t}", ok
 
 
@@ -173,7 +174,7 @@ def _draw_z_matrix(rng, n, t, *, nonsingular=False):
             return a
 
 
-def _zclass_oracles(n_lo, n_hi, trials, seed):
+def _zclass_oracles(n_lo, n_hi, trials, seed, cap):
     base = list(range(n_lo, n_hi + 1))
     at_least2 = [n for n in base if n >= 2]
     at_least3 = [n for n in base if n >= 3]
@@ -196,19 +197,19 @@ def _zclass_oracles(n_lo, n_hi, trials, seed):
             # the entry signs of inv, read off its grid L*inv (L > 0)
             signs = set() if inv is None else {(x > 0) - (x < 0) for r in inv._grid for x in r}
             if eq == "m":
-                lhs = is_nonsingular_m(a)
+                lhs = is_nonsingular_m(a, cap)
                 rhs = inv is not None and signs <= {0, 1}
             elif eq == "m-irr":
-                lhs = is_nonsingular_m(a) and is_irreducible(digraph_of(a))
+                lhs = is_nonsingular_m(a, cap) and is_irreducible(digraph_of(a))
                 rhs = signs == {1}
             elif eq == "n":
-                lhs = is_n(a)
+                lhs = is_n(a, cap)
                 rhs = signs == {-1}
             elif eq == "n0":
-                lhs = is_n0(a)
+                lhs = is_n0(a, cap)
                 rhs = inv is not None and signs <= {-1, 0} and is_irreducible(digraph_of(a))
             else:
-                lhs = is_f0(a)
+                lhs = is_f0(a, cap)
                 rhs = (
                     dd < 0
                     and all(s <= 0 for order, s in _minor_signs(inv) if order >= 2)
@@ -217,7 +218,7 @@ def _zclass_oracles(n_lo, n_hi, trials, seed):
             yield f"zclass-oracles {eq} n={n} trial={t}", lhs == rhs
 
 
-def _type_d(n_lo, n_hi, trials, seed):
+def _type_d(n_lo, n_hi, trials, seed, cap):
     for n in range(n_lo, n_hi + 1):
         patterns = [None, None, "all_negative", "top_zero"]
         if n >= 3:
@@ -227,30 +228,30 @@ def _type_d(n_lo, n_hi, trials, seed):
             pattern = patterns[t % len(patterns)]
             params = random_type_d_params(rng, n, pattern)
             s = sum(1 for x in params if x <= 0)
-            rep = type_d_verify(params)
+            rep = type_d_verify(params, cap)
             expected = n if s == 0 else s - 1
             ok = rep.tridiagonal and rep.z and rep.l_index_of_inverse == expected
             if ok and pattern is not None:
                 inv = inverse(type_d(params))
                 if pattern == "all_negative":
-                    ok = is_n(inv)
+                    ok = is_n(inv, cap)
                 elif pattern == "top_zero":
-                    ok = is_n0(inv) and not is_n(inv)
+                    ok = is_n0(inv, cap) and not is_n(inv, cap)
                 else:
-                    ok = is_f0(inv)
+                    ok = is_f0(inv, cap)
             yield f"type-d n={n} trial={t} pattern={pattern}", ok
 
 
-def _circulant_inverse_conforms(a, mode):
+def _circulant_inverse_conforms(a, mode, cap):
     if det(a) == 0:
         return False
     inv = inverse(a)
     if not is_bdsw(inv):
         return False
-    return is_nonsingular_m(inv) if mode == "nonneg" else is_n(inv)
+    return is_nonsingular_m(inv, cap) if mode == "nonneg" else is_n(inv, cap)
 
 
-def _polyn(n_lo, n_hi, trials, seed):
+def _polyn(n_lo, n_hi, trials, seed, cap):
     orders = list(range(n_lo, n_hi + 1))
     for mode in ("nonneg", "nonpos"):
         for t in range(trials):
@@ -259,24 +260,16 @@ def _polyn(n_lo, n_hi, trials, seed):
             alpha = random_circulant_alpha(rng, n, mode, conforming=True)
             yield f"polyn {mode} conforming n={n} trial={t}", (
                 circulant_conditions(alpha, mode)
-                and _circulant_inverse_conforms(circulant_pz(alpha), mode)
+                and _circulant_inverse_conforms(circulant_pz(alpha), mode, cap)
             )
             alpha = random_circulant_alpha(rng, n, mode, conforming=False)
             yield f"polyn {mode} broken n={n} trial={t}", not (
                 circulant_conditions(alpha, mode)
-                or _circulant_inverse_conforms(circulant_pz(alpha), mode)
+                or _circulant_inverse_conforms(circulant_pz(alpha), mode, cap)
             )
 
 
-def _maybee_matches(a, inv):
-    """True when maybee_entry(a, i, j) equals inv at every entry."""
-    n = a.n
-    return all(
-        maybee_entry(a, i, j) == inv.entry(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-    )
-
-
-def _maybee(n_lo, n_hi, trials, seed):
+def _maybee(n_lo, n_hi, trials, seed, cap):
     # the dense half stops at order 5 so that the campaign keeps its fixed sizes
     dense = list(range(n_lo, min(n_hi, 5) + 1))
     uni = list(range(n_lo, n_hi + 1))
@@ -284,12 +277,11 @@ def _maybee(n_lo, n_hi, trials, seed):
         if dense:
             n = dense[t % len(dense)]
             a = random_nonsingular(_rng(seed, "maybee-dense", n, t), n)
-            yield f"maybee dense n={n} trial={t}", _maybee_matches(a, inverse(a))
+            yield f"maybee dense n={n} trial={t}", _maybee_inverse(a, cap) == inverse(a)
         n = uni[t % len(uni)]
         b = random_bdsw(_rng(seed, "maybee-bdsw", n, t), n)
-        binv = inverse(b)
         yield f"maybee bdsw n={n} trial={t}", (
-            is_unipathic(digraph_of(b)) and _maybee_matches(b, binv)
+            is_unipathic(digraph_of(b), cap) and _maybee_inverse(b, cap) == inverse(b)
         )
 
 
@@ -315,7 +307,8 @@ _LOWEST_ORDER = {
 }
 
 
-def run_verify(theorem: str, n_lo: int, n_hi: int, trials: int, seed: int) -> VerifySummary:
+def run_verify(theorem: str, n_lo: int, n_hi: int, trials: int, seed: int, *,
+               cap: int = ORDER_CAP) -> VerifySummary:
     if theorem not in CAMPAIGNS:
         known = ", ".join(sorted(CAMPAIGNS))
         raise ValueError(f"unknown theorem {theorem!r}; known ids: {known}")
@@ -327,7 +320,7 @@ def run_verify(theorem: str, n_lo: int, n_hi: int, trials: int, seed: int) -> Ve
     if n_hi < low:
         raise ValueError(f"campaign {theorem!r} starts at order {low}; {n_lo}..{n_hi} holds none")
     checks, failures = 0, []
-    for label, ok in CAMPAIGNS[theorem](max(n_lo, low), n_hi, trials, seed):
+    for label, ok in CAMPAIGNS[theorem](max(n_lo, low), n_hi, trials, seed, cap):
         checks += 1
         if not ok:
             failures.append(label)

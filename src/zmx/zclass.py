@@ -18,8 +18,9 @@ s = n-2 is F0). The top three bands are polynomial: a weak-M test is one
 O(n^3) fraction-free elimination, so is_m and is_nonsingular_m make one,
 is_n and is_n0 at most n + 1, and is_f0 at most 1 + n + C(n, 2). Only
 l_index and classify on a matrix below band n-2 run the exponential minor
-sweep, which reads each minor off its parent set's Bareiss-reduced grid in
-O(1) integer work; it is also the tests' oracle. Every function keeps the
+sweep, matrix._principal_minors read for signs, which reads each minor off
+its parent set's Bareiss-reduced grid in O(1) integer work; it also serves
+the path formula, and is the tests' oracle. Every function keeps the
 hard order cap (OrderCapError). perron_r pins the band thresholds: the
 largest spectral radius over order-r principal submatrices of a nonnegative
 B, to a rational tolerance, by bisection on "tI - Bhat is weakly M iff
@@ -37,7 +38,7 @@ from typing import Iterator, Optional
 
 from zmx.digraph import digraph_of, is_irreducible
 from zmx.errors import ORDER_CAP, NotZMatrixError, check_order_cap
-from zmx.matrix import Matrix, _bareiss, det
+from zmx.matrix import Matrix, _principal_minors, det
 
 
 def is_z(a: Matrix) -> bool:
@@ -79,44 +80,11 @@ def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[i
     """Yield (order, sign) for every principal minor: orders ascending, and
     within an order the index sets in combinations order.
 
-    Signs are computed on the integer grid G = L*A; scaling by the positive
-    integer L never changes a minor's sign. Each index set S keeps
-    its Bareiss-reduced grid over the indices after max(S), whose entry
-    (i, j) is det A[S+i | S+j] by Sylvester's identity. The minor of S+p is
-    that grid's diagonal entry at p, and one fraction-free step, divided by
-    det A[S], gives the grid of S+p. The step is undefined below a zero
-    minor, so sets there are eliminated from scratch. A level's grids are
-    built only once the next order is asked for.
+    The signs of matrix._principal_minors on the integer grid G = L*A;
+    scaling by the positive integer L never changes a minor's sign.
     """
-    n = a.n
-    grid = a._grid
-    top = n if max_order is None else min(max_order, n)
-    # (index set, its grid or None, its minor) for the sets that have children
-    level = [((), grid, 1)]
-    for order in range(1, top + 1):
-        grown = []
-        for s, m, d in level:
-            lo = s[-1] + 1 if s else 0
-            for p in range(lo, n):
-                t = s + (p,)
-                if m is None:
-                    minor = _bareiss([[grid[r][c] for c in t] for r in t])
-                else:
-                    minor = m[p - lo][p - lo]
-                yield order, (minor > 0) - (minor < 0)
-                if p + 1 < n:
-                    grown.append((t, m if d else None, d, minor))
-        if order == top:
-            return
-        level = []
-        for t, m, d, minor in grown:
-            if m is not None:
-                # m spans the last len(m) indices; t's last index is row k
-                k = t[-1] + len(m) - n
-                rk = m[k]
-                m = [[(ri[j] * minor - ri[k] * rk[j]) // d for j in range(k + 1, len(m))]
-                     for ri in m[k + 1:]]
-            level.append((t, m, minor))
+    for order, _, minor in _principal_minors(a._grid, range(a.n), max_order):
+        yield order, (minor > 0) - (minor < 0)
 
 
 def _first_bad_minor(a: Matrix) -> Optional[int]:

@@ -224,6 +224,43 @@ def test_invert_failures(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def zero_heavy_text(draw):
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from(("0", "0", "0", "1", "-1", "2", "-3/2", "5/7"))
+    return f"{n}\n" + "".join(" ".join(draw(entry) for _ in range(n)) + "\n" for _ in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_heavy_text())
+@example("2\n1 2\n2 4\n")  # singular: both fail on it alike
+def test_invert_by_maybee_prints_what_invert_prints(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert run_main(["invert", "--method", "maybee", path]) == run_main(["invert", path])
+
+
+def test_invert_by_maybee_fails_at_order_13(tmp_path):
+    n = ORDER_CAP + 1
+    singular = write(tmp_path, "z.txt", serialize_matrix(Matrix.zeros(n)))
+    assert run_main(["invert", "--method", "maybee", singular]) == (
+        1, "", "error: matrix is singular, no inverse exists\n")
+    b = write(tmp_path, "b.txt", serialize_matrix(bdsw_matrix([2] * n, [-1] * (n - 1), -1)))
+    assert run_main(["invert", "--method", "maybee", b]) == (
+        1, "", f"error: order {n} exceeds the enumeration cap {ORDER_CAP};"
+               " raise the cap explicitly to proceed\n")
+
+
 def test_parse_and_io_failures_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "2\n1 2\n3 x\n")
     assert main(["classify", bad]) == 2
@@ -378,6 +415,10 @@ def test_order_cap_env_raises_the_cap_for_every_command(tmp_path, capsys, monkey
     assert "cap" in capsys.readouterr().err
     assert main(["digraph", sparse]) == 0
     assert "unipathic: n/a" in capsys.readouterr().out
+    verify = ["verify", "--n", f"{n}..{n}", "--trials", "1", "--theorem"]
+    for theorem in ("bdsw-z", "maybee"):
+        assert main(verify + [theorem]) == 1
+        assert "cap" in capsys.readouterr().err
 
     monkeypatch.setenv("ZMX_ORDER_CAP", str(n))
     assert main(["perron", "--r", "1", positive]) == 0
@@ -390,6 +431,10 @@ def test_order_cap_env_raises_the_cap_for_every_command(tmp_path, capsys, monkey
     assert parse_matrix(capsys.readouterr().out) == inverse(b)
     assert main(["digraph", sparse]) == 0
     assert "unipathic: yes" in capsys.readouterr().out
+    for theorem in ("bdsw-z", "maybee"):
+        assert main(verify + [theorem]) == 0
+        out = capsys.readouterr().out
+        assert int(out.split("checks: ")[1].split()[0]) > 0 and "failures: 0" in out
 
 
 def test_module_entry_point_runs():

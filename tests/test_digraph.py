@@ -4,7 +4,9 @@ the algebraic inverse, which settles the orientation (paths from v_i to
 v_j produce entry (i, j) of the inverse)."""
 
 import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,8 @@ from zmx import (
     principal_minor,
     to_dot,
 )
-from zmx import digraph
+from zmx import digraph, matrix
+from zmx.matrix import _bareiss, _principal_minors
 from zmx.sampling import random_bdsw, random_nonsingular
 
 
@@ -208,44 +211,133 @@ def test_maybee_entry_matches_path_formula_and_inverse(a):
         assert maybee_entry(a, i, j) == path_formula(a, i, j) == inv.entry(i, j)
 
 
-def test_maybee_entry_shares_minors_between_paths(monkeypatch):
+def counted_eliminations(monkeypatch):
+    """Record the row count of every elimination, wherever it is made."""
     calls = []
-    bareiss = digraph._bareiss
 
     def counted(m):
         calls.append(len(m))
-        return bareiss(m)
+        return _bareiss(m)
 
+    monkeypatch.setattr(matrix, "_bareiss", counted)
     monkeypatch.setattr(digraph, "_bareiss", counted)
+    return calls
+
+
+def sweep_fallbacks(grid, idx, top):
+    """How many sets of idx up to order top the minor sweep eliminates from
+    scratch: those with a zero minor on a prefix (in idx order) at least two
+    shorter, since a set's reduced grid is divided by its parent's minor."""
+    minors = {}
+    for k in range(1, top + 1):
+        for c in combinations(idx, k):
+            minors[c] = _bareiss([[grid[r][q] for q in c] for r in c])
+    return sum(1 for c in minors if any(minors[c[:q]] == 0 for q in range(1, len(c) - 1)))
+
+
+def test_maybee_entry_shares_minors_between_paths(monkeypatch):
     rng = random.Random(707)
     while True:
         a = mk([[rng.choice((1, -1, 2, -3, 5)) for _ in range(7)] for _ in range(7)])
         if det(a) != 0:
             break
-    assert maybee_entry(a, 2, 6) == inverse(a).entry(2, 6)
-    # det G, then at most one minor per vertex set off a path: the nonempty
-    # subsets of the five vertices other than the endpoints
+    want = inverse(a).entry(2, 6)
+    fallbacks = sweep_fallbacks(a._grid, [0, 2, 3, 4, 6], 5)
+    calls = counted_eliminations(monkeypatch)
+    assert maybee_entry(a, 2, 6) == want
+    # det G, then the one sweep over the five vertices other than the
+    # endpoints, which eliminates only the sets below a zero minor
     assert calls[0] == 7
-    assert len(calls) <= 1 + 2 ** 5
+    assert len(calls) == 1 + fallbacks < 1 + 2 ** 5
+
+
+def test_maybee_entry_off_the_diagonal_eliminates_only_det_g(monkeypatch):
+    # strictly diagonally dominant with a positive diagonal: no principal
+    # minor is zero, so the sweep reads every off-path minor off its parent
+    n = 8
+    a = mk([[3 * n if r == c else (-1) ** (r * c) for c in range(n)] for r in range(n)])
+    want = inverse(a).entry(2, 7)
+    calls = counted_eliminations(monkeypatch)
+    assert maybee_entry(a, 2, 7) == want
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("kind", ["dense", "bdsw", "zero-heavy"])
+def test_maybee_inverse_eliminates_the_full_grid_once(monkeypatch, kind):
+    rng = random.Random(f"maybee-inverse|{kind}")
+    cases = []
+    for n in range(1 if kind != "bdsw" else 2, 9):
+        if kind == "dense":
+            a = random_nonsingular(rng, n)
+        elif kind == "bdsw":
+            a = random_bdsw(rng, n)
+        else:
+            a = mk([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+            if det(a) == 0:
+                continue
+        cases.append((a, inverse(a), sweep_fallbacks(a._grid, range(n), n - 1)))
+    calls = counted_eliminations(monkeypatch)
+    for a, inv, fallbacks in cases:
+        calls.clear()
+        assert digraph._maybee_inverse(a) == inv
+        # det G once; every other elimination is a sweep fallback below order n
+        assert calls.count(a.n) == 1
+        assert len(calls) == 1 + fallbacks
+
+
+def test_maybee_inverse_fails_as_maybee_entry_does():
+    singular = mk([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    with pytest.raises(SingularMatrixError):
+        digraph._maybee_inverse(singular, cap=1)
+    with pytest.raises(OrderCapError):
+        digraph._maybee_inverse(Matrix.identity(3), cap=2)
+    # an order-1 inverse is a diagonal entry, which the cap never guards
+    assert digraph._maybee_inverse(mk([[4]]), cap=0) == mk([[Fraction(1, 4)]])
 
 
 @settings(max_examples=150, deadline=None)
 @given(zero_heavy())
 def test_path_sums_group_the_listed_paths_by_vertex_set(a):
     n, grid, d = a.n, a._grid, digraph_of(a)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+
+    def nonzero(sums, j):
+        return {m: ends[j] for m, ends in sums.items() if ends.get(j)}
+
+    for i in range(n):
+        # the row form passes through every vertex but i
+        row = digraph._path_sums(grid, i, [k for k in range(n) if k != i])
+        assert all(i not in ends for ends in row.values())
+        for j in range(n):
             if i == j:
                 continue
             want: dict[int, int] = {}
-            for p in enumerate_paths(d, i, j):
+            for p in enumerate_paths(d, i + 1, j + 1):
                 mask = sum(1 << (v - 1) for v in p.vertices)
                 term = (-1) ** p.length
                 for u, w in zip(p.vertices, p.vertices[1:]):
                     term *= grid[u - 1][w - 1]
                 want[mask] = want.get(mask, 0) + term
-            got = digraph._path_sums(grid, i - 1, j - 1)
-            assert {m: s for m, s in got.items() if s} == {m: s for m, s in want.items() if s}
+            want = {m: s for m, s in want.items() if s}
+            # the entry form passes through every vertex but i and j, so j
+            # only ever ends a path
+            entry = digraph._path_sums(grid, i, [k for k in range(n) if k not in (i, j)])
+            assert all(list(ends) == [j] for m, ends in entry.items() if m >> j & 1)
+            assert nonzero(entry, j) == want
+            assert nonzero(row, j) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_heavy(), st.data())
+def test_minor_sweep_yields_every_principal_minor_of_an_index_list(a, data):
+    n, lcm = a.n, a._lcm
+    idx = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    want = [
+        (k, sum(1 << c for c in s), principal_minor(a, [c + 1 for c in s]) * lcm ** k)
+        for k in range(1, len(idx) + 1) for s in combinations(idx, k)
+    ]
+    for max_order in (None, *range(len(idx) + 2)):
+        top = len(idx) if max_order is None else max_order
+        assert list(_principal_minors(a._grid, idx, max_order)) == [w for w in want if w[0] <= top]
 
 
 def test_maybee_entry_at_the_cap_order(monkeypatch):
@@ -255,17 +347,22 @@ def test_maybee_entry_at_the_cap_order(monkeypatch):
     a = from_cyclic_params([1 + k % 3 for k in range(n)],
                            [(-1) ** k * (1 + k % 2) for k in range(n - 1)], 3)
     assert all(all(row) for row in a._grid)
-    calls = []
-    bareiss = digraph._bareiss
-
-    def counted(m):
-        calls.append(len(m))
-        return bareiss(m)
-
-    monkeypatch.setattr(digraph, "_bareiss", counted)
-    assert maybee_entry(a, 3, 9) == inverse(a).entry(3, 9)
+    want = inverse(a).entry(3, 9)
+    fallbacks = sweep_fallbacks(a._grid, [k for k in range(n) if k not in (2, 8)], n - 2)
+    calls = counted_eliminations(monkeypatch)
+    assert maybee_entry(a, 3, 9) == want
     assert calls[0] == n
-    assert len(calls) <= 1 + 2 ** 10
+    assert len(calls) == 1 + fallbacks < 1 + 2 ** 10
+
+
+def test_path_walks_do_not_recurse_per_vertex():
+    # the bdsw pattern: loops, the super-diagonal and the (n, 1) corner, one
+    # cycle through every vertex, longer than the recursion limit
+    n = sys.getrecursionlimit() + 100
+    d = Digraph(n, [(k, k) for k in range(1, n + 1)]
+                + [(k, k + 1) for k in range(1, n)] + [(n, 1)])
+    assert is_unipathic(d, cap=n)
+    assert enumerate_paths(d, 1, n, cap=n) == [Path(tuple(range(1, n + 1)), n)]
 
 
 @pytest.mark.parametrize("kind", ["dense", "bdsw"])

@@ -8,7 +8,7 @@ import inspect
 
 import pytest
 
-from zmx import CAMPAIGNS, cyclic, matrix, run_verify, verify, zclass
+from zmx import CAMPAIGNS, ORDER_CAP, cyclic, matrix, run_verify, verify, zclass
 
 
 def test_known_campaign_ids():
@@ -60,6 +60,14 @@ def test_every_campaign_runs_clean_small(theorem):
     assert s.ok and s.checks > 0 and s.failures == []
 
 
+@pytest.mark.parametrize("theorem", sorted(CAMPAIGNS))
+def test_every_campaign_runs_clean_above_the_default_cap_when_raised(theorem):
+    # the cap reaches every predicate, type_d_verify and the maybee checks
+    n = ORDER_CAP + 1
+    s = run_verify(theorem, n, n, 5, 5, cap=n)  # five trials reach every type-d pattern
+    assert s.ok and s.checks > 0
+
+
 def test_cycle_matrix_campaign_inverts_each_drawn_matrix_once(monkeypatch):
     # every check draws one matrix (a forward cyclic one or a backward bdsw
     # one); roundtrip_check reuses the inverse the campaign already holds
@@ -107,7 +115,7 @@ def test_failure_labels_name_the_failed_checks_in_order(monkeypatch):
 
 
 def test_failure_labels_of_the_dense_and_bdsw_maybee_checks(monkeypatch):
-    _failing(monkeypatch, "maybee_entry", lambda a, i, j: a.n == 5)
+    _failing(monkeypatch, "_maybee_inverse", lambda a, cap: a.n == 5)
     s = run_verify("maybee", 4, 6, 3, 0)
     assert s.checks == 6
     assert s.failures == ["maybee dense n=5 trial=1", "maybee bdsw n=5 trial=1"]

@@ -40,7 +40,7 @@ from zmx import (
     type_d_verify,
     z_decompose,
 )
-from zmx import zclass
+from zmx import matrix, zclass
 from zmx.matrix import _bareiss
 from zmx.sampling import random_z
 
@@ -584,13 +584,12 @@ def test_minor_sweep_matches_per_subset_elimination(a):
 def test_minor_sweep_eliminates_only_below_a_zero_minor(monkeypatch):
     # records the top-left entry of every sub-grid eliminated from scratch
     corners = []
-    bareiss = zclass._bareiss
 
     def counted(m):
         corners.append(m[0][0])
-        return bareiss(m)
+        return _bareiss(m)
 
-    monkeypatch.setattr(zclass, "_bareiss", counted)
+    monkeypatch.setattr(matrix, "_bareiss", counted)
     n = 10
     # strictly diagonally dominant Z-matrix: every principal minor is positive
     rows = [[n if i == j else -((i * j + 1) % 2) for j in range(n)] for i in range(n)]
