@@ -18,9 +18,9 @@ s = n-2 is F0). The top three bands are polynomial: a weak-M test is one
 O(n^3) fraction-free elimination, so is_m and is_nonsingular_m make one,
 is_n and is_n0 at most n + 1, and is_f0 at most 1 + n + C(n, 2). Only
 l_index and classify on a matrix below band n-2 run the exponential minor
-sweep, matrix._principal_minors read for signs, which reads each minor off
-its parent set's Bareiss-reduced grid in O(1) integer work; it also serves
-the path formula, and is the tests' oracle. Every function keeps the
+sweep, matrix._principal_minors read for its signs (the path formula reads
+its values). It reads each minor off its parent set's Bareiss-reduced grid
+in O(1) integer work, and is the tests' oracle. Every function keeps the
 hard order cap (OrderCapError). perron_r pins the band thresholds: the
 largest spectral radius over order-r principal submatrices of a nonnegative
 B, to a rational tolerance, by bisection on "tI - Bhat is weakly M iff
