@@ -256,10 +256,7 @@ def _cmd_digraph(args) -> int:
     print(f"vertices: {dg.n}")
     print("edges: " + ", ".join(f"{i}->{j}" for i, j in sorted(dg.edges)))
     print(f"irreducible: {_yn(is_irreducible(dg))}")
-    try:
-        print(f"unipathic: {_yn(is_unipathic(dg, cap=args.cap))}")
-    except OrderCapError:
-        print("unipathic: n/a (order cap exceeded)")
+    print(f"unipathic: {_yn(is_unipathic(dg))}")
     return 0
 
 

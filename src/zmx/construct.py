@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from zmx.cyclic import _cycle_grid
-from zmx.errors import ORDER_CAP, check_order_cap
+from zmx.errors import ORDER_CAP
 from zmx.matrix import Matrix, _cleared, inverse
 from zmx.zclass import is_z, l_index
 
@@ -47,6 +47,36 @@ def _cycle_params(diag: Sequence, sup: Sequence, corner) -> tuple[list, list]:
     return d, hops
 
 
+def _pairs(xs) -> list[tuple[int, int]]:
+    return [(x.numerator, x.denominator) for x in xs]
+
+
+def _cycle_walk(diag, hops) -> Matrix:
+    """The inverse cyclic matrix whose nonzero diagonal and hops (the corner
+    last) are the integer (numerator, denominator) pairs diag and hops: the
+    walk a_ij = d_i * prod h_k / d_k over the hops k from i to j, in pairs."""
+    n = len(diag)
+    if n < 2:
+        raise ValueError("need at least 2 diagonal parameters")
+    ratios = [(hp * dq, hq * dp) for (hp, hq), (dp, dq) in zip(hops, diag)]
+    cells = [[x] * n for x in diag]
+    for i, row in enumerate(cells):
+        p, q = row[i]
+        for t in range(i + 1, i + n):
+            rp, rq = ratios[(t - 1) % n]  # the hop into vertex t % n
+            p, q = p * rp, q * rq
+            row[t % n] = (p, q)
+    return Matrix._from_grid(*_cleared(cells))
+
+
+def _bdsw(diag, hops) -> Matrix:
+    """The bdsw matrix whose diagonal and hops are the lowest-terms pairs."""
+    if len(diag) < 2:
+        raise ValueError("need at least 2 diagonal parameters")
+    k, (d, h) = _cleared([diag, hops])
+    return Matrix._from_grid(k, _cycle_grid(d, h))
+
+
 def from_cyclic_params(diag: Sequence, sup: Sequence, corner) -> Matrix:
     """The inverse cyclic matrix with the given free parameters.
 
@@ -56,19 +86,7 @@ def from_cyclic_params(diag: Sequence, sup: Sequence, corner) -> Matrix:
     always satisfies is_inverse_cyclic.
     """
     d, hops = _cycle_params(diag, sup, corner)
-    n = len(d)
-    # walk the cycle from each i: a_ij = d_i * prod h_k / d_k over the hops
-    # k from i to j, kept as integer (numerator, denominator) pairs
-    ratios = [(h.numerator * x.denominator, h.denominator * x.numerator)
-              for h, x in zip(hops, d)]
-    cells = [[(x.numerator, x.denominator)] * n for x in d]
-    for i, row in enumerate(cells):
-        p, q = row[i]
-        for t in range(i + 1, i + n):
-            rp, rq = ratios[(t - 1) % n]  # the hop into vertex t % n
-            p, q = p * rp, q * rq
-            row[t % n] = (p, q)
-    return Matrix._from_grid(*_cleared(cells))
+    return _cycle_walk(_pairs(d), _pairs(hops))
 
 
 def bdsw_matrix(diag: Sequence, sup: Sequence, corner) -> Matrix:
@@ -80,7 +98,7 @@ def bdsw_matrix(diag: Sequence, sup: Sequence, corner) -> Matrix:
     d, hops = _cycle_params(diag, sup, corner)
     if any(x == 0 for x in hops):
         raise ValueError("bdsw parameters must all be nonzero")
-    return Matrix(_cycle_grid(d, hops))
+    return _bdsw(_pairs(d), _pairs(hops))
 
 
 def type_d(a: Sequence) -> Matrix:
@@ -92,7 +110,9 @@ def type_d(a: Sequence) -> Matrix:
     for prev, cur in zip(p, p[1:]):
         if cur <= prev:
             raise ValueError("parameters must be strictly increasing")
-    return Matrix([[p[min(i, j)] for j in range(n)] for i in range(n)])
+    # row i of the grid is g_1, ..., g_i, then g_i to the end
+    k, (g,) = _cleared([_pairs(p)])
+    return Matrix._from_grid(k, [g[:i] + [g[i]] * (n - i) for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -102,23 +122,25 @@ class TypeDVerification:
     l_index_of_inverse: Optional[int]
 
 
+def _type_d_report(a: Sequence, cap: int) -> tuple[TypeDVerification, Matrix]:
+    """type_d_verify's report, and the inverse of type_d(a) it reads."""
+    p = _params(a, "a")
+    if p and p[0] == 0:
+        raise ValueError("a_1 must be nonzero, the matrix would be singular")
+    inv = inverse(type_d(p))
+    z = is_z(inv)
+    return TypeDVerification(is_tridiagonal(inv), z, l_index(inv, cap) if z else None), inv
+
+
 def type_d_verify(a: Sequence, cap: int = ORDER_CAP) -> TypeDVerification:
     """Invert type_d(a) and report the structure of the inverse.
 
     Needs a_1 != 0 on top of strict increase (a_1 = 0 makes the matrix
     singular). The inverse of this family is tridiagonal and Z; the report
     carries its l_index, or None in the (unexpected) case the inverse is not Z.
+    Only that l_index meets the order cap, and only below band n-2.
     """
-    p = _params(a, "a")
-    if p and p[0] == 0:
-        raise ValueError("a_1 must be nonzero, the matrix would be singular")
-    check_order_cap(len(p), cap)
-    m = type_d(p)
-    inv = inverse(m)
-    tri = is_tridiagonal(inv)
-    z = is_z(inv)
-    li = l_index(inv, cap) if z else None
-    return TypeDVerification(tridiagonal=tri, z=z, l_index_of_inverse=li)
+    return _type_d_report(a, cap)[0]
 
 
 def shift_matrix(n: int) -> Matrix:
@@ -140,7 +162,9 @@ def circulant_pz(alpha: Sequence) -> Matrix:
     n = len(coeffs)
     if n < 1:
         raise ValueError("need at least one coefficient")
-    return Matrix([[coeffs[(j - i) % n] for j in range(n)] for i in range(n)])
+    # row i of the grid is the first row rotated i places right
+    k, (g,) = _cleared([_pairs(coeffs)])
+    return Matrix._from_grid(k, [g[n - i:] + g[:n - i] for i in range(n)])
 
 
 def circulant_conditions(alpha: Sequence, mode: str) -> bool:

@@ -96,21 +96,28 @@ def is_inverse_cyclic(a: Matrix) -> bool:
     return True
 
 
+def _cycle_products(g) -> tuple[int, int]:
+    """D = the product of the grid's diagonal and C = the cyclic product of
+    its hops (0 when n = 1): on G = L*A, d = D / L^n and c = C / L^n."""
+    diag, hops = _diag_hops(g)
+    return prod(diag), prod(hops) if len(g) > 1 else 0
+
+
 def cyclic_products(a: Matrix) -> CyclicProducts:
     """d = product of the diagonal, c = the cyclic product (0 when n = 1)."""
-    diag, hops = _diag_hops(a._grid)
+    d, c = _cycle_products(a._grid)
     scale = a._lcm ** a.n
-    c = Fraction(prod(hops), scale) if a.n > 1 else Fraction(0)
-    return CyclicProducts(Fraction(prod(diag), scale), c)
+    return CyclicProducts(Fraction(d, scale), Fraction(c, scale))
 
 
 def cyclic_det(a: Matrix) -> Fraction:
-    """det A = (d - c)^(n-1) / d^(n-2) for inverse cyclic A."""
+    """det A = (d - c)^(n-1) / d^(n-2) for inverse cyclic A, which on the grid
+    G = L*A is (D - C)^(n-1) * D / (D^(n-1) * L^n), D != 0, at every n >= 1."""
     if not is_inverse_cyclic(a):
         raise NotInverseCyclicError("determinant formula needs the inverse cyclic property")
-    d, c = cyclic_products(a)
-    n = a.n
-    return (d - c) ** (n - 1) / d ** (n - 2)
+    d, c = _cycle_products(a._grid)
+    n, lcm = a.n, a._lcm
+    return Fraction((d - c) ** (n - 1) * d, d ** (n - 1) * lcm ** n)
 
 
 def cyclic_inverse(a: Matrix) -> Matrix:
@@ -128,15 +135,16 @@ def cyclic_inverse(a: Matrix) -> Matrix:
     """
     if not is_inverse_cyclic(a):
         raise NotInverseCyclicError("inverse formula needs the inverse cyclic property")
-    d, c = cyclic_products(a)
+    d, c = _cycle_products(a._grid)
     if d == c:
         raise SingularMatrixError("d = c, the matrix is singular")
-    # on the grid G = L*A: b_ii = r*L / g_ii, b_ij = -r*L * g_ij / (g_ii * g_jj)
+    # on G = L*A, r = D / (D - C); over D - C the entries are L * D / g_ii and
+    # -L * g_ij * D / (g_ii * g_jj), integers (at n = 1 the diagonal wins)
     diag, hops = _diag_hops(a._grid)
-    n = a.n
-    rl = d / (d - c) * a._lcm
-    b = Matrix(_cycle_grid([rl / g_ii for g_ii in diag],
-                           [-rl * h / (diag[i] * diag[(i + 1) % n]) for i, h in enumerate(hops)]))
+    n, lcm = a.n, a._lcm
+    b = Matrix._from_grid(d - c, _cycle_grid(
+        [lcm * (d // x) for x in diag],
+        [-lcm * h * (d // (diag[i] * diag[(i + 1) % n])) for i, h in enumerate(hops)]))
     ident = Matrix.identity(n)
     if a * b != ident or b * a != ident:
         raise ArithmeticError("closed-form inverse failed the A*B = I verification")
@@ -183,9 +191,9 @@ def bdsw_sign_classify(a: Matrix) -> Verdict:
     n = a.n
     if n < 2 or not is_inverse_cyclic(a):
         return Verdict.NEITHER
-    d, c = cyclic_products(a)
+    # D - C and the grid G = L*A have the signs of d - c and A, since L > 0
+    d, c = _cycle_products(a._grid)
     e = d - c
-    # the grid G = L*A has the signs of A, since L > 0
     g = a._grid
     if all(x > 0 for row in g for x in row):
         if e > 0:

@@ -5,8 +5,9 @@ exactly when a_ij != 0; loops count. Irreducibility of A is strong
 connectivity of D(A), with n = 1 irreducible by convention. Path enumeration
 is exhaustive DFS over simple paths, so it carries a hard order cap (the
 dense worst case is factorial); exceeding the cap raises OrderCapError
-rather than silently grinding; both walks keep an explicit stack, not the
-call stack. maybee_entry does not walk the paths: it sums the path formula
+rather than silently grinding. is_unipathic stops at the second path to any
+vertex, so it is polynomial and uncapped; both walks keep an explicit
+stack, not the call stack. maybee_entry does not walk the paths: it sums the path formula
 by vertex set in O(n^2 * 2^n) integer work, its off-path minors read from
 the principal-minor sweep; _maybee_inverse does so a row at a time.
 """
@@ -137,14 +138,14 @@ def enumerate_paths(d: Digraph, i: int, j: int, cap: int = ORDER_CAP) -> list[Pa
     return [Path(vs, d.n) for vs in found]
 
 
-def is_unipathic(d: Digraph, cap: int = ORDER_CAP) -> bool:
+def is_unipathic(d: Digraph) -> bool:
     """True when every ordered vertex pair (i, j), i != j, has at most one simple path.
 
     One DFS over the simple paths from each source: every arrival at a
     vertex is a distinct simple path to it, so the second arrival at any
-    vertex answers False.
+    vertex answers False. It enters each vertex at most once per source, so
+    it costs O(n(n+m)) and needs no order cap.
     """
-    check_order_cap(d.n, cap)
     adj = _adjacency(d)
     for source in range(1, d.n + 1):
         arrived = [False] * (d.n + 1)

@@ -3,30 +3,38 @@
 Every function takes an explicit random.Random so campaigns are reproducible
 from (seed, n, trial). Values are kept small on purpose: entries are products
 of parameters in several families and the point is sign structure, not
-magnitude.
+magnitude. Draws are integer (numerator, denominator) pairs in lowest terms,
+and the matrix samplers clear them onto an integer grid with one lcm;
+rand_rational and random_cyclic_params wrap the same draws in Fractions.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
-from zmx.construct import bdsw_matrix, from_cyclic_params
-from zmx.matrix import Matrix, det
+from zmx.construct import _bdsw, _cycle_walk
+from zmx.cyclic import _cycle_products
+from zmx.matrix import Matrix, _cleared, det
+
+
+def _rand_pair(rng: random.Random, lo: int = -4, hi: int = 4, nonzero: bool = False) -> tuple[int, int]:
+    """rand_rational's draw as a lowest-terms (numerator, denominator) pair."""
+    while True:
+        num = rng.randint(lo, hi)
+        half = rng.randrange(4) == 0
+        if num or not nonzero:
+            return (num, 2) if half and num % 2 else (num // 2 if half else num, 1)
 
 
 def rand_rational(rng: random.Random, lo: int = -4, hi: int = 4, nonzero: bool = False) -> Fraction:
     """Small integer, occasionally a half-integer."""
-    while True:
-        num = rng.randint(lo, hi)
-        x = Fraction(num, 2) if rng.randrange(4) == 0 else Fraction(num)
-        if x != 0 or not nonzero:
-            return x
+    return Fraction(*_rand_pair(rng, lo, hi, nonzero))
 
 
 def random_matrix(rng: random.Random, n: int) -> Matrix:
-    return Matrix([[rand_rational(rng) for _ in range(n)] for _ in range(n)])
+    return Matrix._from_grid(*_cleared([[_rand_pair(rng) for _ in range(n)] for _ in range(n)]))
 
 
 def random_nonsingular(rng: random.Random, n: int) -> Matrix:
@@ -36,6 +44,23 @@ def random_nonsingular(rng: random.Random, n: int) -> Matrix:
             return m
 
 
+def _cyclic_pairs(rng, n, *, zeros=True, sign=None):
+    """random_cyclic_params' draws as pairs: (diagonal, hops), the corner the
+    last hop."""
+    s = {"pos": 1, "neg": -1}.get(sign)
+
+    def pick(nz):
+        if s is None:
+            return _rand_pair(rng, -4, 4, nz)
+        p, q = _rand_pair(rng, 1, 4)
+        return s * p, q
+
+    diag = [pick(True) for _ in range(n)]
+    if sign is None and zeros:
+        return diag, [_rand_pair(rng, -3, 3) for _ in range(n)]
+    return diag, [pick(True) for _ in range(n)]
+
+
 def random_cyclic_params(rng, n, *, zeros=True, sign=None):
     """Parameters for from_cyclic_params.
 
@@ -43,42 +68,35 @@ def random_cyclic_params(rng, n, *, zeros=True, sign=None):
     strictly negative parameters (which makes the built matrix entrywise
     positive or negative). zeros=True lets super/corner parameters vanish.
     """
-    if sign == "pos":
-        pick = lambda nz: Fraction(rng.randint(1, 4), 2 if rng.randrange(4) == 0 else 1)
-    elif sign == "neg":
-        pick = lambda nz: Fraction(-rng.randint(1, 4), 2 if rng.randrange(4) == 0 else 1)
-    else:
-        pick = lambda nz: rand_rational(rng, -4, 4, nonzero=nz)
-    diag = [pick(True) for _ in range(n)]
-    if sign is None and zeros:
-        sup = [rand_rational(rng, -3, 3) for _ in range(n - 1)]
-        corner = rand_rational(rng, -3, 3)
-    else:
-        sup = [pick(True) for _ in range(n - 1)]
-        corner = pick(True)
-    return diag, sup, corner
+    diag, hops = _cyclic_pairs(rng, n, zeros=zeros, sign=sign)
+    hops = [Fraction(*h) for h in hops]
+    return [Fraction(*x) for x in diag], hops[:-1], hops[-1]
 
 
 def random_inverse_cyclic(rng, n, *, zeros=True, sign=None) -> Matrix:
-    diag, sup, corner = random_cyclic_params(rng, n, zeros=zeros, sign=sign)
-    return from_cyclic_params(diag, sup, corner)
+    return _cycle_walk(*_cyclic_pairs(rng, n, zeros=zeros, sign=sign))
 
 
 def forced_singular_cyclic_params(rng, n):
-    """Parameters with c = d exactly, so the built matrix is singular."""
-    diag = [rand_rational(rng, -4, 4, nonzero=True) for _ in range(n)]
-    sup = [rand_rational(rng, -4, 4, nonzero=True) for _ in range(n - 1)]
-    return diag, sup, prod(diag) / prod(sup)
+    """(diagonal, hops) pairs, the corner the last hop, with c = d exactly,
+    so the matrix they walk to is singular."""
+    diag = [_rand_pair(rng, -4, 4, nonzero=True) for _ in range(n)]
+    sup = [_rand_pair(rng, -4, 4, nonzero=True) for _ in range(n - 1)]
+    # the corner prod(diag) / prod(sup), in lowest terms
+    p = prod(p for p, _ in diag) * prod(q for _, q in sup)
+    q = prod(q for _, q in diag) * prod(p for p, _ in sup)
+    g = gcd(p, q) * (-1 if q < 0 else 1)
+    return diag, sup + [(p // g, q // g)]
 
 
 def random_bdsw(rng, n) -> Matrix:
     while True:
-        diag = [rand_rational(rng, -4, 4, nonzero=True) for _ in range(n)]
-        sup = [rand_rational(rng, -4, 4, nonzero=True) for _ in range(n - 1)]
-        corner = rand_rational(rng, -4, 4, nonzero=True)
-        m = bdsw_matrix(diag, sup, corner)
-        if det(m) != 0:
-            return m
+        a = _bdsw([_rand_pair(rng, -4, 4, nonzero=True) for _ in range(n)],
+                  [_rand_pair(rng, -4, 4, nonzero=True) for _ in range(n)])
+        # the bdsw pattern has det G = D - (-1)^n C
+        d, c = _cycle_products(a._grid)
+        if d != (-1) ** n * c:
+            return a
 
 
 def random_type_d_params(rng, n, pattern=None):
@@ -103,18 +121,13 @@ def random_type_d_params(rng, n, pattern=None):
 
 
 def random_z(rng, n) -> Matrix:
-    rows = [
-        [
-            rand_rational(rng, -3, 5) if i == j else rand_rational(rng, -3, 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Matrix(rows)
+    cells = [[_rand_pair(rng, -3, 5) if i == j else _rand_pair(rng, -3, 0) for j in range(n)]
+             for i in range(n)]
+    return Matrix._from_grid(*_cleared(cells))
 
 
 def random_nonneg(rng, n) -> Matrix:
-    return Matrix([[rand_rational(rng, 0, 4) for _ in range(n)] for _ in range(n)])
+    return Matrix._from_grid(*_cleared([[_rand_pair(rng, 0, 4) for _ in range(n)] for _ in range(n)]))
 
 
 def random_shifted_z(rng, n) -> Matrix:

@@ -13,27 +13,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from zmx.construct import bdsw_matrix, circulant_conditions, circulant_pz, from_cyclic_params, type_d, type_d_verify
+from zmx.construct import _bdsw, _cycle_walk, _type_d_report, circulant_conditions, circulant_pz, type_d
 from zmx.cyclic import (
     Verdict,
+    _cycle_products,
     bdsw_sign_classify,
     cyclic_det,
     cyclic_inverse,
-    cyclic_products,
     is_bdsw,
     is_full,
     is_inverse_cyclic,
     roundtrip_check,
 )
 from zmx.digraph import _maybee_inverse, digraph_of, is_irreducible, is_unipathic
-from zmx.errors import ORDER_CAP
+from zmx.errors import ORDER_CAP, check_order_cap
 from zmx.matrix import det, inverse
 from zmx.sampling import (
+    _cyclic_pairs,
+    _rand_pair,
     forced_singular_cyclic_params,
-    rand_rational,
     random_bdsw,
     random_circulant_alpha,
-    random_cyclic_params,
     random_inverse_cyclic,
     random_nonsingular,
     random_shifted_z,
@@ -66,12 +66,9 @@ def _det_formula(n_lo, n_hi, trials, seed, cap):
     for n in range(n_lo, n_hi + 1):
         for t in range(trials):
             rng = _rng(seed, "det-formula", n, t)
-            if t % 8 == 7:
-                diag, sup, corner = forced_singular_cyclic_params(rng, n)
-            else:
-                diag, sup, corner = random_cyclic_params(rng, n)
-            a = from_cyclic_params(diag, sup, corner)
-            d, c = cyclic_products(a)
+            draw = forced_singular_cyclic_params if t % 8 == 7 else _cyclic_pairs
+            a = _cycle_walk(*draw(rng, n))
+            d, c = _cycle_products(a._grid)
             oracle = det(a)
             yield f"det-formula n={n} trial={t}", (
                 cyclic_det(a) == oracle and (d == c) == (oracle == 0)
@@ -84,16 +81,17 @@ def _cycle_matrix(n_lo, n_hi, trials, seed, cap):
             rng = _rng(seed, "cycle-matrix", n, t)
             while True:
                 a = random_inverse_cyclic(rng, n, zeros=False)
-                d, c = cyclic_products(a)
+                d, c = _cycle_products(a._grid)
                 if d != c:
                     break
             inv = inverse(a)
-            ratio = d / (d - c)
+            # a_ii * b_ii = d / (d - c), cross-multiplied on the grids
+            ga, gb, ratio = a._grid, inv._grid, d * a._lcm * inv._lcm
             yield f"cycle-matrix forward n={n} trial={t}", (
                 is_bdsw(inv)
                 and cyclic_inverse(a) == inv
                 and roundtrip_check(a, inv)
-                and all(a.entry(i, i) * inv.entry(i, i) == ratio for i in range(1, n + 1))
+                and all(ga[i][i] * gb[i][i] * (d - c) == ratio for i in range(n))
             )
             b = random_bdsw(rng, n)
             binv = inverse(b)
@@ -106,16 +104,16 @@ def _draw_cyclic_signed(rng, n, sign, e_positive):
     # rejection keeps drawing until d - c lands on the requested side
     while True:
         a = random_inverse_cyclic(rng, n, sign=sign)
-        d, c = cyclic_products(a)
+        d, c = _cycle_products(a._grid)
         if d != c and ((d - c > 0) == e_positive):
             return a
 
 
 def _draw_cyclic_mixed(rng, n):
     while True:
-        diag, sup, corner = random_cyclic_params(rng, n, zeros=False)
-        if any(x > 0 for x in diag) and any(x < 0 for x in diag):
-            return from_cyclic_params(diag, sup, corner)
+        diag, hops = _cyclic_pairs(rng, n, zeros=False)
+        if any(p > 0 for p, _ in diag) and any(p < 0 for p, _ in diag):
+            return _cycle_walk(diag, hops)
 
 
 def _bdsw_z(n_lo, n_hi, trials, seed, cap):
@@ -161,10 +159,8 @@ def _draw_z_matrix(rng, n, t, *, nonsingular=False):
         if kind == 1:
             a = random_shifted_z(rng, n)
         elif kind == 2 and n >= 2:
-            diag = [rand_rational(rng, -3, 3, nonzero=True) for _ in range(n)]
-            sup = [rand_rational(rng, -3, -1, nonzero=True) for _ in range(n - 1)]
-            corner = rand_rational(rng, -3, -1, nonzero=True)
-            a = bdsw_matrix(diag, sup, corner)
+            a = _bdsw([_rand_pair(rng, -3, 3, nonzero=True) for _ in range(n)],
+                      [_rand_pair(rng, -3, -1, nonzero=True) for _ in range(n)])
         elif kind == 3 and n >= 2:
             pattern = [None, "all_negative", "top_zero", "second_zero"][(t // 4) % (4 if n >= 3 else 3)]
             a = inverse(type_d(random_type_d_params(rng, n, pattern)))
@@ -210,6 +206,7 @@ def _zclass_oracles(n_lo, n_hi, trials, seed, cap):
                 rhs = inv is not None and signs <= {-1, 0} and is_irreducible(digraph_of(a))
             else:
                 lhs = is_f0(a, cap)
+                check_order_cap(n, cap)  # the oracle sweeps every minor of inv
                 rhs = (
                     dd < 0
                     and all(s <= 0 for order, s in _minor_signs(inv) if order >= 2)
@@ -228,11 +225,10 @@ def _type_d(n_lo, n_hi, trials, seed, cap):
             pattern = patterns[t % len(patterns)]
             params = random_type_d_params(rng, n, pattern)
             s = sum(1 for x in params if x <= 0)
-            rep = type_d_verify(params, cap)
+            rep, inv = _type_d_report(params, cap)
             expected = n if s == 0 else s - 1
             ok = rep.tridiagonal and rep.z and rep.l_index_of_inverse == expected
             if ok and pattern is not None:
-                inv = inverse(type_d(params))
                 if pattern == "all_negative":
                     ok = is_n(inv, cap)
                 elif pattern == "top_zero":
@@ -281,7 +277,7 @@ def _maybee(n_lo, n_hi, trials, seed, cap):
         n = uni[t % len(uni)]
         b = random_bdsw(_rng(seed, "maybee-bdsw", n, t), n)
         yield f"maybee bdsw n={n} trial={t}", (
-            is_unipathic(digraph_of(b), cap) and _maybee_inverse(b, cap) == inverse(b)
+            is_unipathic(digraph_of(b)) and _maybee_inverse(b, cap) == inverse(b)
         )
 
 

@@ -14,14 +14,14 @@ eigenvalues, by exact sign conditions on A's own principal minors.
 
 l_index(A) = s locates the band: s = (minimal order of a negative principal
 minor) - 1, or n when no minor is negative (s = n is M, s = n-1 is N0,
-s = n-2 is F0). The top three bands are polynomial: a weak-M test is one
-O(n^3) fraction-free elimination, so is_m and is_nonsingular_m make one,
-is_n and is_n0 at most n + 1, and is_f0 at most 1 + n + C(n, 2). Only
-l_index and classify on a matrix below band n-2 run the exponential minor
-sweep, matrix._principal_minors read for its signs (the path formula reads
-its values). It reads each minor off its parent set's Bareiss-reduced grid
-in O(1) integer work, and is the tests' oracle. Every function keeps the
-hard order cap (OrderCapError). perron_r pins the band thresholds: the
+s = n-2 is F0). The top three bands are polynomial: every predicate runs one
+O(n^3) fraction-free weak-M elimination of the whole matrix, and the tests
+of is_n, is_n0 and is_f0 on principal submatrices (at most n, then C(n, 2)
+pairs) continue from its recorded states. Only l_index and classify below
+band n-2 run the exponential minor sweep, matrix._principal_minors read for
+its signs, which alone meets the order cap (OrderCapError). It reads each
+minor off its parent set's Bareiss-reduced grid in O(1) integer work, and is
+the tests' oracle. perron_r, capped too, pins the band thresholds: the
 largest spectral radius over order-r principal submatrices of a nonnegative
 B, to a rational tolerance, by bisection on "tI - Bhat is weakly M iff
 t >= rho(Bhat)". A submatrix's bisection ends on a known grid point, so one
@@ -93,32 +93,36 @@ def _first_bad_minor(a: Matrix) -> Optional[int]:
     return next((order for order, s in _minor_signs(a) if s < 0), None)
 
 
-def _weak_m(grid, idx) -> tuple[bool, bool, Optional[int]]:
-    """(weakly M, nonsingular M, bound) for the Z-matrix grid[idx, idx]; bound
-    is None for weakly M input, and otherwise some principal minor of order
-    at most bound is negative.
+def _weak_m(m, prev=1, done=0, states=None) -> tuple[bool, bool, Optional[int]]:
+    """(weakly M, nonsingular M, bound) for the Z-matrix whose elimination
+    state m (row lists, consumed) follows `done` pivots, the last one prev; a
+    fresh test passes a copy of the grid. bound is None for weakly M input,
+    and otherwise some principal minor of order at most bound is negative.
 
-    One fraction-free elimination pivots on the least positive diagonal entry
-    left. After pivots on P, entry (i, j) is det A[P+i | P+j] (Sylvester), so
-    a negative diagonal entry is a negative minor of order |P|+1. The Schur
-    complement of the nonsingular-M block A[P] is again Z, and A is weakly M
-    exactly when it is. Once its diagonal is all zero, it is weakly M exactly
-    when its digraph is acyclic: vertices with no out-edge are peeled off
-    until none is left. A cycle among the r left holds a chordless one, a
-    negative minor of order at most |P|+r.
+    The elimination pivots on the least positive diagonal entry left. After
+    pivots on P, entry (i, j) is det A[P+i | P+j] (Sylvester), so a negative
+    diagonal entry is a negative minor of order |P|+1. The Schur complement
+    of the nonsingular-M block A[P] is again Z, and A is weakly M exactly
+    when it is. Once its diagonal is all zero, it is weakly M exactly when
+    its digraph is acyclic: vertices with no out-edge are peeled off until
+    none is left. A cycle among the r left holds a chordless one, a negative
+    minor of order at most |P|+r.
+
+    A list passed as states gets (grid, prev, k) for each state met, k the
+    position pivoted next and the grid left without row and column k: the
+    state of A less that index after the same pivots. Where the test stops,
+    k is None and the grid whole. A submatrix test continues from there.
     """
-    m = [[grid[i][j] for j in idx] for i in idx]
-    prev = 1
     while m:
         diag = [row[i] for i, row in enumerate(m)]
         pk = min(diag)
-        if pk < 0:
-            return False, False, len(idx) - len(m) + 1
         if not pk:
             pk = min([x for x in diag if x], default=0)
-            if not pk:
-                break
-        k = diag.index(pk)
+        k = diag.index(pk) if pk > 0 else None
+        if states is not None:
+            states.append((m, prev, k))
+        if k is None:
+            break
         rk = m.pop(k)
         del rk[k]
         rows = []
@@ -126,13 +130,15 @@ def _weak_m(grid, idx) -> tuple[bool, bool, Optional[int]]:
             f = ri.pop(k)
             rows.append([(x * pk - f * y) // prev for x, y in zip(ri, rk)] if f else
                         [x * pk // prev for x in ri])
-        m, prev = rows, pk
+        m, prev, done = rows, pk, done + 1
     else:
         return True, True, None
+    if pk < 0:
+        return False, False, done + 1
     live, keep = None, list(range(len(m)))
     while keep != live:
         live, keep = keep, [i for i in keep if any(m[i][j] for j in keep)]
-    return not live, False, len(idx) - len(m) + len(live) if live else None
+    return not live, False, done + len(live) if live else None
 
 
 def _band(a: Matrix, low: int, cap: int) -> tuple[int, bool]:
@@ -141,21 +147,35 @@ def _band(a: Matrix, low: int, cap: int) -> tuple[int, bool]:
     nonsingular M.
 
     Band k holds when every order-k principal submatrix is weakly M. Bands n,
-    n-1 and n-2 are read from the top: one weak-M test, one per index left
-    out, then one per pair of left-out indices whose own tests failed (a
-    principal submatrix of a weakly M matrix is weakly M). A failed test's
-    bound fails every band at or above it. Below n-2 the sweep finds s.
+    n-1 and n-2 are read from the top: one weak-M elimination of the whole
+    matrix, then a test per index left out and one per pair of left-out
+    indices whose own tests failed (a principal submatrix of a weakly M
+    matrix is weakly M), each continued from the last state of that
+    elimination holding its left-out indices. A failed test's bound fails
+    every band at or above it. Below n-2 the capped sweep finds s.
     """
     n, g = a.n, a._grid
-    check_order_cap(n, cap)
-    weak, strict, bound = _weak_m(g, range(n))
+    states = []
+    weak, strict, bound = _weak_m([list(row) for row in g], states=states)
     if weak:
         return n, strict
     top = max(low, n - 2)  # the lowest band read from the top
     if top < bound:
+        # the last state holding each index, and the indices of each kept grid
+        last, labels, left = {}, [], list(range(n))
+        for t, (_, _, k) in enumerate(states):
+            last.update(dict.fromkeys(left, t))
+            labels.append(left := [r for p, r in enumerate(left) if p != k])
+
+        def without(out):
+            t = min(last[r] for r in out)
+            m, prev, _ = states[t]
+            keep = [p for p, r in enumerate(labels[t]) if r not in out]
+            return _weak_m([[m[i][j] for j in keep] for i in keep], prev, t)
+
         strict, failed = True, []
         for j in range(n):
-            weak, nonsingular, b = _weak_m(g, [i for i in range(n) if i != j])
+            weak, nonsingular, b = without((j,))
             strict = strict and nonsingular
             if not weak:
                 failed.append(j)
@@ -164,11 +184,11 @@ def _band(a: Matrix, low: int, cap: int) -> tuple[int, bool]:
                     break
         if not failed:
             return n - 1, strict
-        if top < bound and all(_weak_m(g, [k for k in range(n) if k not in (i, j)])[0]
-                               for i, j in combinations(failed, 2)):
+        if top < bound and all(without(pair)[0] for pair in combinations(failed, 2)):
             return n - 2, False
     if low > n - 3:
         return low - 1, False
+    check_order_cap(n, cap)
     return _first_bad_minor(a) - 1, False
 
 
@@ -264,7 +284,7 @@ def _is_weak_m_shift(bhat: Matrix, t: Fraction) -> bool:
     # for any nonnegative bhat; the positive qL keeps its minor signs
     pl, q = t.numerator * bhat._lcm, t.denominator
     grid = [[pl * (i == j) - q * x for j, x in enumerate(row)] for i, row in enumerate(bhat._grid)]
-    return _weak_m(grid, range(bhat.n))[0]
+    return _weak_m(grid)[0]
 
 
 def _rho_bisect(bhat: Matrix, tol: Fraction) -> Fraction:

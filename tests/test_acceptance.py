@@ -145,6 +145,16 @@ def test_maybee_campaign():
     assert s.failures == []
 
 
+def test_sign_campaigns_at_large_orders_with_a_raised_cap():
+    # bdsw-z and polyn decide their classes by weak-M eliminations, which
+    # are polynomial, so they run well above the default cap; 17 trials put
+    # a block on every order from 16 to 32
+    s = run_verify("bdsw-z", 16, 32, 17, 4, cap=32)
+    assert s.checks == 68 and s.failures == []
+    s = run_verify("polyn", 16, 32, 17, 4, cap=32)
+    assert s.checks == 68 and s.failures == []
+
+
 def test_perron_bisection_bracket_and_band_sweep():
     tol = Fraction(1, 10**9)
     rng = random.Random(2025)

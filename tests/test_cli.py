@@ -385,9 +385,13 @@ def test_perron_command(tmp_path, capsys):
 
 def test_order_cap_env(tmp_path, capsys, monkeypatch):
     z3 = write(tmp_path, "z.txt", "3\n1 -1 0\n0 1 -1\n0 0 1\n")
+    low3 = write(tmp_path, "low.txt", "3\n-1 0 0\n0 1 0\n0 0 1\n")  # band 0 < n - 2
     monkeypatch.setenv("ZMX_ORDER_CAP", "2")
-    assert main(["classify", z3]) == 1
+    assert main(["classify", low3]) == 1
     assert "cap" in capsys.readouterr().err
+    # the top bands are polynomial, so an M-matrix is classified above the cap
+    assert main(["classify", z3]) == 0
+    assert "nonsingular M: yes" in capsys.readouterr().out
 
     monkeypatch.setenv("ZMX_ORDER_CAP", "junk")
     assert main(["classify", z3]) == 2
@@ -398,27 +402,34 @@ def test_order_cap_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
     monkeypatch.setenv("ZMX_ORDER_CAP", "12")
-    assert main(["classify", z3]) == 0
-    capsys.readouterr()
+    assert main(["classify", low3]) == 0
+    assert "L-band index: 0" in capsys.readouterr().out
 
 
 def test_order_cap_env_raises_the_cap_for_every_command(tmp_path, capsys, monkeypatch):
     n = ORDER_CAP + 1
     positive = write(tmp_path, "d.txt", serialize_matrix(type_d(range(1, n + 1))))
     z = write(tmp_path, "i.txt", serialize_matrix(Matrix.identity(n)))
+    # -1 then ones on the diagonal: band 0, which only the capped sweep finds
+    low = write(tmp_path, "l.txt", serialize_matrix(
+        Matrix([[-1 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])))
     b = bdsw_matrix([2] * n, [-1] * (n - 1), -1)
     sparse = write(tmp_path, "b.txt", serialize_matrix(b))
 
+    # polynomial work runs above the default cap; exponential work exits 1
     assert main(["perron", "--r", "1", positive]) == 1
     assert "cap" in capsys.readouterr().err
-    assert main(["classify", z]) == 1
+    assert main(["classify", z]) == 0
+    assert "nonsingular M: yes" in capsys.readouterr().out
+    assert main(["classify", low]) == 1
     assert "cap" in capsys.readouterr().err
     assert main(["digraph", sparse]) == 0
-    assert "unipathic: n/a" in capsys.readouterr().out
+    assert "unipathic: yes" in capsys.readouterr().out
     verify = ["verify", "--n", f"{n}..{n}", "--trials", "1", "--theorem"]
-    for theorem in ("bdsw-z", "maybee"):
-        assert main(verify + [theorem]) == 1
-        assert "cap" in capsys.readouterr().err
+    assert main(verify + ["bdsw-z"]) == 0
+    assert "failures: 0" in capsys.readouterr().out
+    assert main(verify + ["maybee"]) == 1
+    assert "cap" in capsys.readouterr().err
 
     monkeypatch.setenv("ZMX_ORDER_CAP", str(n))
     assert main(["perron", "--r", "1", positive]) == 0
@@ -427,6 +438,8 @@ def test_order_cap_env_raises_the_cap_for_every_command(tmp_path, capsys, monkey
     assert "Z-matrix: no" in capsys.readouterr().out
     assert main(["classify", z]) == 0
     assert "nonsingular M: yes" in capsys.readouterr().out
+    assert main(["classify", low]) == 0
+    assert "L-band index: 0" in capsys.readouterr().out
     assert main(["invert", "--method", "maybee", sparse]) == 0
     assert parse_matrix(capsys.readouterr().out) == inverse(b)
     assert main(["digraph", sparse]) == 0

@@ -84,13 +84,16 @@ def test_type_d_verify_goldens():
         type_d_verify([0, 1, 2])
 
 
-def test_type_d_verify_checks_the_cap_before_inverting(monkeypatch):
-    def no_inverse(m):
-        raise AssertionError("inverse ran before the order cap check")
-
-    monkeypatch.setattr("zmx.construct.inverse", no_inverse)
+def test_type_d_verify_caps_only_the_minor_sweep():
+    # the inverse and the top bands are polynomial and run above the cap
+    n = ORDER_CAP + 1
+    r = type_d_verify(range(1, n + 1))
+    assert r.tridiagonal and r.z and r.l_index_of_inverse == n
+    assert type_d_verify(range(-n, 0)).l_index_of_inverse == n - 1
+    # four nonpositive parameters put the band at 3, below n - 2: a sweep
     with pytest.raises(OrderCapError):
-        type_d_verify(range(1, ORDER_CAP + 2))
+        type_d_verify(range(-3, n - 3))
+    assert type_d_verify(range(-3, n - 3), cap=n).l_index_of_inverse == 3
 
 
 def test_type_d_verify_l_index_tracks_nonpositive_count():

@@ -247,6 +247,43 @@ def test_inverse_cyclicity_is_invariant_under_diagonal_scaling(a, data):
     assert every_case_equation_holds(scaled_a) == want
 
 
+def fraction_cyclic_det(a):
+    # the formula as written, in Fractions
+    d, c = cyclic_products(a)
+    return (d - c) ** (a.n - 1) / d ** (a.n - 2)
+
+
+def fraction_cyclic_inverse(a):
+    # b_ii = r / a_ii and b_ij = -r * a_ij / (a_ii * a_jj) on the hops, in Fractions
+    d, c = cyclic_products(a)
+    r, n = d / (d - c), a.n
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        j = i % n + 1
+        rows[i - 1][j - 1] = -r * a.entry(i, j) / (a.entry(i, i) * a.entry(j, j))
+        rows[i - 1][i - 1] = r / a.entry(i, i)
+    return Matrix(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_or_perturbed())
+@example(mk([[Fraction(-3, 2)]]))
+@example(mk([[2, Fraction(1, 2)], [-5, Fraction(-1, 3)]]))  # n = 2: any nonzero diagonal
+@example(mk([[1, 2], [3, 6]]))  # n = 2 and d = c
+@example(A4)  # a zero hop
+@example(P5)
+def test_closed_forms_on_the_grid_match_the_fraction_formulas(a):
+    if not is_inverse_cyclic(a):
+        return
+    assert cyclic_det(a) == fraction_cyclic_det(a) == det(a)
+    d, c = cyclic_products(a)
+    if d == c:
+        with pytest.raises(SingularMatrixError):
+            cyclic_inverse(a)
+    else:
+        assert cyclic_inverse(a) == fraction_cyclic_inverse(a) == inverse(a)
+
+
 def test_cyclic_inverse_matches_general_inverse():
     rng = random.Random(1729)
     for _ in range(40):

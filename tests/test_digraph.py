@@ -361,7 +361,7 @@ def test_path_walks_do_not_recurse_per_vertex():
     n = sys.getrecursionlimit() + 100
     d = Digraph(n, [(k, k) for k in range(1, n + 1)]
                 + [(k, k + 1) for k in range(1, n)] + [(n, 1)])
-    assert is_unipathic(d, cap=n)
+    assert is_unipathic(d)
     assert enumerate_paths(d, 1, n, cap=n) == [Path(tuple(range(1, n + 1)), n)]
 
 

@@ -184,27 +184,37 @@ def test_l_index_goldens():
 
 
 def test_order_cap_enforced():
-    a = Matrix.identity(3)
+    # the cap guards exponential work only: the minor sweep below band n - 2,
+    # perron_r's subsets and the path formula off the diagonal
+    low = mk([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])  # band 0, below n - 2 = 1
     with pytest.raises(OrderCapError):
-        is_m(a, cap=2)
+        l_index(low, cap=2)
     with pytest.raises(OrderCapError):
-        classify(a, cap=2)
+        classify(low, cap=2)
     with pytest.raises(OrderCapError):
         perron_r(Matrix.zeros(3), 1, cap=2)
-    assert is_m(a, cap=3)
-    # every capped entry point defaults to the one shared cap
-    big = Matrix.identity(ORDER_CAP + 1)
+    assert l_index(low, cap=3) == 0
+    a = Matrix.identity(3)
+    assert is_m(a, cap=2) and classify(a, cap=2).is_nonsingular_m
+    # above the default cap the polynomial calls return
+    n = ORDER_CAP + 1
+    big = Matrix.identity(n)
+    n_matrix = type_d_inverse(range(-n, 0))
+    assert is_m(big) and is_nonsingular_m(big) and l_index(big) == n
+    assert not (is_n(big) or is_n0(big) or is_f0(big))
+    assert is_n(n_matrix) and is_n0(n_matrix) and not is_f0(n_matrix)
+    assert classify(big).is_nonsingular_m and classify(n_matrix).l_index == n - 1
+    assert type_d_verify(range(1, n + 1)).l_index_of_inverse == n
+    assert is_unipathic(digraph_of(big))
+    # and every exponential path still raises at the one shared default cap
+    low_big = Matrix._from_grid(1, [[-1 if i == j == 0 else int(i == j) for j in range(n)]
+                                    for i in range(n)])
     capped = [
-        lambda: is_m(big),
-        lambda: is_nonsingular_m(big),
-        lambda: is_n(big),
-        lambda: is_n0(big),
-        lambda: is_f0(big),
-        lambda: l_index(big),
-        lambda: classify(big),
+        lambda: l_index(low_big),
+        lambda: classify(low_big),
+        lambda: l_index(type_d_inverse(range(-3, n - 3))),
         lambda: perron_r(big, 1),
-        lambda: type_d_verify(range(1, ORDER_CAP + 2)),
-        lambda: is_unipathic(digraph_of(big)),
+        lambda: type_d_verify(range(-3, n - 3)),
         lambda: maybee_entry(big, 1, 2),
     ]
     for call in capped:
@@ -370,13 +380,24 @@ def small_z(draw, max_n=6):
 
 
 def count_work(monkeypatch):
-    """Count weak-M eliminations and the items every minor sweep yields."""
-    work = {"eliminations": 0, "minors": 0}
-    weak_m, sweep = zclass._weak_m, zclass._minor_signs
+    """Count the weak-M kernel's entries and the items every minor sweep
+    yields. An entry that records its states starts from the full grid; every
+    other entry must continue from one of those states, with the prev and
+    the pivot count recorded there, its grid one or two indices smaller."""
+    work = {"fresh": 0, "continued": 0, "minors": 0}
+    weak_m, sweep, recorded = zclass._weak_m, zclass._minor_signs, []
 
-    def counted_weak_m(grid, idx):
-        work["eliminations"] += 1
-        return weak_m(grid, idx)
+    def counted_weak_m(m, prev=1, done=0, states=None):
+        if states is not None:
+            assert (len(m), prev, done) == (len(m[0]), 1, 0)
+            work["fresh"] += 1
+            recorded[:] = [states, len(m)]
+        else:
+            states, n = recorded
+            assert done < len(states) and prev == states[done][1]
+            assert len(m) in (n - done - 1, n - done - 2)
+            work["continued"] += 1
+        return weak_m(m, prev, done, states)
 
     def counted_sweep(a, max_order=None):
         for item in sweep(a, max_order):
@@ -434,19 +455,23 @@ def test_top_bands_take_polynomially_many_eliminations(monkeypatch):
     assert is_n0(n0) and not is_n(n0) and is_n(cases[n - 1])
     assert {s: l_index(a) for s, a in cases.items()} == {s: s for s in cases}
     work = count_work(monkeypatch)
-    limits = {is_m: 1, is_nonsingular_m: 1, is_n: n + 1, is_n0: n + 1, is_f0: 1 + n + comb(n, 2)}
+    # one elimination from the full grid; then at most one continuation per
+    # index left out and, for F0, per pair of left-out indices
+    limits = {is_m: 0, is_nonsingular_m: 0, is_n: n, is_n0: n, is_f0: n + comb(n, 2)}
     for view, limit in limits.items():
         for a in (*cases.values(), n0):
-            work.update(eliminations=0, minors=0)
+            work.update(fresh=0, continued=0, minors=0)
             view(a)
-            assert work["minors"] == 0
-            assert 1 <= work["eliminations"] <= limit
+            assert work["minors"] == 0 and work["fresh"] == 1
+            assert work["continued"] <= limit
             if a is cases[n]:
-                assert work["eliminations"] == 1
+                assert work["continued"] == 0
+            elif view in (is_n, is_n0, is_f0) and a is not cases[2]:
+                assert work["continued"] >= 1
     # below band n - 2, l_index tests the whole matrix and then sweeps
-    work.update(eliminations=0, minors=0)
+    work.update(fresh=0, continued=0, minors=0)
     assert l_index(LOW_BAND4) == 1
-    assert work == {"eliminations": 1, "minors": 5}
+    assert work == {"fresh": 1, "continued": 0, "minors": 5}
 
 
 def minors_by_order(a):
@@ -495,7 +520,7 @@ def test_weak_m_matches_the_minor_signs(a):
     minors = minors_by_order(a)
     first_negative = min((k for k in minors if any(x < 0 for x in minors[k])), default=None)
     assert zclass._first_bad_minor(a) == first_negative
-    weak, nonsingular, bound = zclass._weak_m(a._grid, range(n))
+    weak, nonsingular, bound = zclass._weak_m([list(row) for row in a._grid])
     assert weak == (first_negative is None)
     assert nonsingular == all(x > 0 for k in minors for x in minors[k])
     if weak:
@@ -537,6 +562,31 @@ def test_taxonomy_matches_brute_force_minors(a):
     assert got == want
     r = classify(a)
     assert {name: getattr(r, name) for name in want} == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_z(), z_matrices()))
+@example(LOW_BAND4)
+@example(type_d_inverse(range(-9, 0)))  # N
+@example(type_d_inverse(range(-8, 1)))  # N0, not N
+@example(type_d_inverse(range(-7, 2)))  # F0
+def test_band_matches_brute_force_minors_at_every_low(a):
+    # _band continues its leave-one-out tests from one elimination; at every
+    # low it must still read the band of the brute-force minors and of the
+    # bottom-up sweep, or report one below low when the band is below low
+    n = a.n
+    minors = minors_by_order(a)
+    first_negative = min((k for k in minors if any(x < 0 for x in minors[k])), default=None)
+    assert zclass._first_bad_minor(a) == first_negative
+    s = n if first_negative is None else first_negative - 1
+    for low in range(n + 1):
+        band, strict = zclass._band(a, low, n)
+        if s < low:
+            assert band < low
+            continue
+        assert band == s
+        if s >= n - 1:
+            assert strict == all(x > 0 for k in range(1, s + 1) for x in minors[k])
 
 
 @settings(max_examples=200, deadline=None)
