@@ -110,7 +110,7 @@ def type_d(a: Sequence) -> Matrix:
     for prev, cur in zip(p, p[1:]):
         if cur <= prev:
             raise ValueError("parameters must be strictly increasing")
-    # row i of the grid is g_1, ..., g_i, then g_i to the end
+    # a_ij = a_min(i,j): row i of the grid is g[:i], then g[i] to the end
     k, (g,) = _cleared([_pairs(p)])
     return Matrix._from_grid(k, [g[:i] + [g[i]] * (n - i) for i in range(n)])
 

@@ -102,10 +102,10 @@ CASES = {
 }
 for kw in ({}, {"zeros": False}, {"sign": "pos"}, {"sign": "neg"}):
     tag = ",".join(f"{k}={v}" for k, v in kw.items())
-    CASES[f"random_cyclic_params[{tag}]"] = (
+    CASES[f"random_cyclic_params({tag})"] = (
         lambda rng, n, kw=kw: sampling.random_cyclic_params(rng, n, **kw),
         lambda rng, n, kw=kw: old_random_cyclic_params(rng, n, **kw))
-    CASES[f"random_inverse_cyclic[{tag}]"] = (
+    CASES[f"random_inverse_cyclic({tag})"] = (
         lambda rng, n, kw=kw: sampling.random_inverse_cyclic(rng, n, **kw),
         lambda rng, n, kw=kw: old_random_inverse_cyclic(rng, n, **kw))
 
