@@ -7,6 +7,9 @@ followed by that many rows of rational literals ("-4", "1/2"); JSON is
 rational strings except the perron command, which also shows a decimal.
 
 Exit codes: 0 success, 1 failed check or domain error, 2 usage/parse error.
+
+The subcommands are one table, _COMMANDS; main builds only the parser of the
+command its first argument names, and every parser for help or a bad command.
 """
 
 from __future__ import annotations
@@ -327,61 +330,70 @@ def _range_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FILE = _arg("file", help="matrix file, or - for stdin")
+
+# name: (help, handler, argument specs), in the order the help lists them
+_COMMANDS = {
+    "classify": ("full class report for a matrix file", _cmd_classify,
+                 [_FILE, _arg("--json", action="store_true", help="machine-readable report")]),
+    "invert": ("exact inverse of a matrix file", _cmd_invert,
+               [_FILE, _arg("--method", choices=("oracle", "cyclic", "maybee"), default="oracle")]),
+    "cyclic-check": ("test the cyclic consistency relations", _cmd_cyclic_check, [_FILE]),
+    "digraph": ("digraph of the nonzero pattern", _cmd_digraph,
+                [_FILE, _arg("--dot", action="store_true", help="emit DOT instead of a summary")]),
+    "gen": ("build a matrix from family parameters", _cmd_gen, [
+        _arg("family", choices=("typed", "cyclic", "bdsw", "circulant")),
+        _arg("--params", help="typed: comma-separated increasing parameters"),
+        _arg("--diag", help="cyclic/bdsw: diagonal entries"),
+        _arg("--super", dest="sup", help="cyclic/bdsw: super-diagonal entries"),
+        _arg("--corner", help="cyclic/bdsw: bottom-left entry"),
+        _arg("--alpha", help="circulant: polynomial coefficients"),
+    ]),
+    "verify": ("run a seeded theorem campaign", _cmd_verify, [
+        _arg("--theorem", required=True, choices=sorted(CAMPAIGNS)),
+        _arg("--n", type=_range_arg, default=(2, 6), metavar="LO..HI"),
+        _arg("--trials", type=int, default=100),
+        _arg("--seed", type=int, default=0),
+    ]),
+    "perron": ("bisection bound on the largest r-subset Perron root", _cmd_perron, [
+        _arg("file", help="nonnegative matrix file, or - for stdin"),
+        _arg("--r", type=int, required=True, help="principal submatrix order"),
+        _arg("--tol", default="1/1000000000", help="rational tolerance"),
+    ]),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The zmx parser, with only the subcommand argv names when it names one.
+
+    argparse matches command names exactly, so a first word naming a command
+    is the command; anything else (help, nothing, an unknown word) gets every
+    subparser. The metavar keeps the top-level usage line listing them all.
+    """
     parser = argparse.ArgumentParser(
         prog="zmx",
         description="Exact-arithmetic toolkit for cycle matrices, bdsw patterns "
         "and the Z-matrix taxonomy.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="full class report for a matrix file")
-    p.add_argument("file", help="matrix file, or - for stdin")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("invert", help="exact inverse of a matrix file")
-    p.add_argument("file", help="matrix file, or - for stdin")
-    p.add_argument("--method", choices=("oracle", "cyclic", "maybee"), default="oracle")
-    p.set_defaults(func=_cmd_invert)
-
-    p = sub.add_parser("cyclic-check", help="test the cyclic consistency relations")
-    p.add_argument("file", help="matrix file, or - for stdin")
-    p.set_defaults(func=_cmd_cyclic_check)
-
-    p = sub.add_parser("digraph", help="digraph of the nonzero pattern")
-    p.add_argument("file", help="matrix file, or - for stdin")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
-    p.set_defaults(func=_cmd_digraph)
-
-    p = sub.add_parser("gen", help="build a matrix from family parameters")
-    p.add_argument("family", choices=("typed", "cyclic", "bdsw", "circulant"))
-    p.add_argument("--params", help="typed: comma-separated increasing parameters")
-    p.add_argument("--diag", help="cyclic/bdsw: diagonal entries")
-    p.add_argument("--super", dest="sup", help="cyclic/bdsw: super-diagonal entries")
-    p.add_argument("--corner", help="cyclic/bdsw: bottom-left entry")
-    p.add_argument("--alpha", help="circulant: polynomial coefficients")
-    p.set_defaults(func=_cmd_gen, parser=p)
-
-    p = sub.add_parser("verify", help="run a seeded theorem campaign")
-    p.add_argument("--theorem", required=True, choices=sorted(CAMPAIGNS))
-    p.add_argument("--n", type=_range_arg, default=(2, 6), metavar="LO..HI")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("perron", help="bisection bound on the largest r-subset Perron root")
-    p.add_argument("file", help="nonnegative matrix file, or - for stdin")
-    p.add_argument("--r", type=int, required=True, help="principal submatrix order")
-    p.add_argument("--tol", default="1/1000000000", help="rational tolerance")
-    p.set_defaults(func=_cmd_perron)
-
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, func, specs) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=text)
+            for flags, kwargs in specs:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     cap = ORDER_CAP
     env = os.environ.get("ZMX_ORDER_CAP")
     if env is not None:

@@ -9,7 +9,8 @@ rather than silently grinding. is_unipathic stops at the second path to any
 vertex, so it is polynomial and uncapped; both walks keep an explicit
 stack, not the call stack. maybee_entry does not walk the paths: it sums the path formula
 by vertex set in O(n^2 * 2^n) integer work, its off-path minors read from
-the principal-minor sweep; _maybee_inverse does so a row at a time.
+the principal-minor sweep, or eliminated one by one when few sets carry
+paths; _maybee_inverse does so a row at a time.
 """
 
 from __future__ import annotations
@@ -224,7 +225,10 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     products (-1)^l(p) G[p] by vertex set in O(n^2 * 2^n) integer work. The
     off-path minors are principal minors of G over V - {i, j}, which one
     principal-minor sweep reads off each other in O(1) integer work apiece;
-    only det G and sets below a zero minor are eliminated from scratch.
+    only det G and sets below a zero minor are eliminated from scratch. When
+    fewer than 2^k / k vertex sets carry paths, for the k vertices some path
+    misses (a bdsw entry has one path), each off-path minor is eliminated
+    directly instead of sweeping all 2^k sets.
     """
     n = a.n
     if not (1 <= i <= n and 1 <= j <= n):
@@ -239,11 +243,17 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     check_order_cap(n, cap)
     sums = {on: ends[j] for on, ends in _path_sums(grid, i, others).items() if ends.get(j)}
     full = (1 << n) - 1
-    # every off-path set lies among the vertices some path misses, and the
-    # largest sits off the shortest path
+    # every off-path set lies among the vertices some path misses
     spare = [k for k in others if any(not on >> k & 1 for on in sums)]
-    top = n - min((on.bit_count() for on in sums), default=n)
-    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, spare, top)}
+    if len(sums) * len(spare) < 1 << len(spare):
+        # few path sets (a bdsw entry has one): eliminate each off-path set
+        offs = {full ^ on: [k for k in spare if not on >> k & 1] for on in sums}
+        minors = {off: _bareiss([[grid[r][c] for c in ks] for r in ks]) if ks else 1
+                  for off, ks in offs.items()}
+    else:
+        # the largest off-path set sits off the shortest path
+        top = n - min((on.bit_count() for on in sums), default=n)
+        minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, spare, top)}
     return Fraction(lcm * sum(s * minors[full ^ on] for on, s in sums.items()), d_g)
 
 

@@ -2,6 +2,7 @@
 behavior and exit codes. End-to-end calls go through main(argv) in-process;
 one subprocess check covers the python -m entry point."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -448,6 +449,49 @@ def test_order_cap_env_raises_the_cap_for_every_command(tmp_path, capsys, monkey
         assert main(verify + [theorem]) == 0
         out = capsys.readouterr().out
         assert int(out.split("checks: ")[1].split()[0]) > 0 and "failures: 0" in out
+
+
+# ---------------------------------------------------------------- argparse output
+
+# exit code, stdout and stderr of main for help, usage errors and every
+# command's help, recorded at COLUMNS=80 from the parser that built all
+# subcommands on every call; argparse rewords its messages between Python
+# minor versions, so the text holds for the one it was recorded with
+USAGE_GOLDEN = json.loads((Path(__file__).parent / "cli_usage_golden.json").read_text("utf-8"))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse text recorded with 3.11")
+@pytest.mark.parametrize("case", USAGE_GOLDEN, ids=lambda c: " ".join(c["argv"]) or "(none)")
+def test_argparse_output_is_unchanged(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(case["argv"]))
+        except SystemExit as exc:
+            code = exc.code
+    assert (code, out.getvalue(), err.getvalue()) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_main_builds_only_the_invoked_commands_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["classify", write(tmp_path, "a.txt", A3_TEXT)]) == 0
+    assert "verdict: Neither" in capsys.readouterr().out
+    # the top-level parser and the classify subparser
+    assert len(built) == 2
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "cyclic-check" in capsys.readouterr().out
+    assert len(built) == 8
 
 
 def test_module_entry_point_runs():

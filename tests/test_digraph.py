@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zmx import (
@@ -353,6 +353,58 @@ def test_maybee_entry_at_the_cap_order(monkeypatch):
     assert maybee_entry(a, 3, 9) == want
     assert calls[0] == n
     assert len(calls) == 1 + fallbacks < 1 + 2 ** 10
+
+
+def counted_sweeps(monkeypatch):
+    calls = []
+
+    def counted(grid, idx, max_order=None):
+        calls.append(list(idx))
+        return _principal_minors(grid, idx, max_order)
+
+    monkeypatch.setattr(digraph, "_principal_minors", counted)
+    return calls
+
+
+def test_maybee_entry_eliminates_each_path_set_when_there_are_few(monkeypatch):
+    # a bdsw entry has one path, so the off-path set is one of 2^10 subsets
+    n = 12
+    a = random_bdsw(random.Random("maybee-sparse"), n)
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    want = inverse(a)
+    sweeps = counted_sweeps(monkeypatch)
+    calls = counted_eliminations(monkeypatch)
+    for i, j in cells:
+        calls.clear()
+        assert maybee_entry(a, i, j) == want.entry(i, j)
+        # det G, then at most one elimination of the vertices off the path
+        assert calls[0] == n and len(calls) <= 2
+    assert sweeps == []
+
+
+def test_maybee_entry_sweeps_a_dense_entry(monkeypatch):
+    a = random_nonsingular(random.Random("maybee-dense"), 7)
+    want = inverse(a).entry(2, 6)
+    sweeps = counted_sweeps(monkeypatch)
+    assert maybee_entry(a, 2, 6) == want
+    assert sweeps == [[0, 2, 3, 4, 6]]
+
+
+@st.composite
+def bdsw(draw):
+    return random_bdsw(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(2, 12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(zero_heavy(), bdsw()), st.data())
+def test_maybee_entry_matches_inverse_on_sparse_and_dense_inputs(a, data):
+    # either branch: the sweep or one elimination per path set
+    assume(det(a) != 0)
+    inv = inverse(a)
+    cell = st.integers(1, a.n)
+    for _ in range(4):
+        i, j = data.draw(cell), data.draw(cell)
+        assert maybee_entry(a, i, j) == inv.entry(i, j)
 
 
 def test_path_walks_do_not_recurse_per_vertex():
