@@ -454,9 +454,8 @@ def test_order_cap_env_raises_the_cap_for_every_command(tmp_path, capsys, monkey
 # ---------------------------------------------------------------- argparse output
 
 # exit code, stdout and stderr of main for help, usage errors and every
-# command's help, recorded at COLUMNS=80 from the parser that built all
-# subcommands on every call; argparse rewords its messages between Python
-# minor versions, so the text holds for the one it was recorded with
+# command's help, at COLUMNS=80; argparse rewords its messages between
+# Python minor versions, so the text holds for the one it was recorded with
 USAGE_GOLDEN = json.loads((Path(__file__).parent / "cli_usage_golden.json").read_text("utf-8"))
 
 
