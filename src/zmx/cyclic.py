@@ -129,9 +129,10 @@ def cyclic_inverse(a: Matrix) -> Matrix:
         b_ii = r / a_ii
         b_ij = -r * a_ij / (a_ii * a_jj)   for j = i+1 or (i,j) = (n,1)
 
-    Both products A*B and B*A are checked against the identity before
-    returning; a failure would be a counterexample to the formula and raises
-    ArithmeticError instead of handing back silently wrong data.
+    The product A*B is checked against the identity before returning (for
+    square matrices over Q, A*B = I implies B*A = I); a failure would be a
+    counterexample to the formula and raises ArithmeticError instead of
+    handing back silently wrong data.
     """
     if not is_inverse_cyclic(a):
         raise NotInverseCyclicError("inverse formula needs the inverse cyclic property")
@@ -145,8 +146,7 @@ def cyclic_inverse(a: Matrix) -> Matrix:
     b = Matrix._from_grid(d - c, _cycle_grid(
         [lcm * (d // x) for x in diag],
         [-lcm * h * (d // (diag[i] * diag[(i + 1) % n])) for i, h in enumerate(hops)]))
-    ident = Matrix.identity(n)
-    if a * b != ident or b * a != ident:
+    if a * b != Matrix.identity(n):
         raise ArithmeticError("closed-form inverse failed the A*B = I verification")
     return b
 

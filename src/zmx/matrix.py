@@ -9,10 +9,11 @@ A[i, j] is the entry in row i, column j for 1 <= i, j <= n, matching the
 convention used in the docs, error messages and the CLI formats.
 
 Arithmetic runs on G and re-canonicalises with one gcd pass. det and inverse
-run one fraction-free Bareiss elimination over G (det A = det G / L^n), the
-inverse Gauss-Jordan style on [G | L*I], whose right block ends as the last
-pivot times A^-1. _principal_minors is the one principal-minor sweep, shared
-by the Z-matrix taxonomy and the path formula for inverse entries.
+run one fraction-free Bareiss elimination over G (det A = det G / L^n). The
+inverse runs it forward on [G | L*I], then a fraction-free back substitution
+finds d * A^-1, d the last pivot, which is an integer grid, so every division
+is exact. _principal_minors is the one principal-minor sweep, shared by the
+Z-matrix taxonomy and the path formula for inverse entries.
 """
 
 from __future__ import annotations
@@ -222,10 +223,11 @@ def _bareiss(m: list[list[int]]) -> int:
     """Fraction-free Bareiss elimination of the left n x n block of the n x w
     integer grid m, in place. Returns that block's determinant.
 
-    With w = n only the rows below each pivot are reduced, which is all the
-    determinant needs. With w > n every row is reduced, Gauss-Jordan style,
-    and for a nonsingular block the right block R ends as p * block^-1 * R,
-    where p = m[-1][n-1] is the last pivot.
+    Only the rows below each pivot are reduced, which is all the determinant
+    needs; columns right of the block undergo the same row operations. Unless
+    it returns 0, the block ends upper triangular with the pivots on its
+    diagonal, the last pivot m[-1][n-1] being the determinant of the
+    row-swapped block.
     """
     n = len(m)
     w = len(m[0])
@@ -242,14 +244,16 @@ def _bareiss(m: list[list[int]]) -> int:
                 return 0
         row_k = m[k]
         pivot = row_k[k]
-        for i in range(0 if w > n else k + 1, n):
-            if i == k:
-                continue
+        for i in range(k + 1, n):
             row_i = m[i]
             factor = row_i[k]
-            for j in range(k + 1, w):
-                # exact division, a Bareiss invariant
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            # exact divisions, a Bareiss invariant; a zero factor only scales
+            if factor:
+                for j in range(k + 1, w):
+                    row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            else:
+                for j in range(k + 1, w):
+                    row_i[j] = row_i[j] * pivot // prev
             row_i[k] = 0
         prev = pivot
     return sign * m[-1][n - 1]
@@ -316,8 +320,24 @@ def inverse(a: Matrix) -> Matrix:
     grid = [list(row) + [lcm if j == i else 0 for j in range(n)] for i, row in enumerate(a._grid)]
     if _bareiss(grid) == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
-    # the right block is pivot * A^-1; no entry becomes a Fraction here
-    return Matrix._from_grid(grid[-1][n - 1], [row[n:] for row in grid])
+    # now U * A^-1 = R for the triangular left block U and the right block R.
+    # With d the last pivot, Y = d * A^-1 = +-L * adj G is an integer grid, so
+    # Y_n = R_n and Y_i = (d * R_i - sum over k > i of U_ik * Y_k) / U_ii divide
+    # exactly; row i of grid becomes Y_i, and no entry becomes a Fraction here
+    d = grid[-1][n - 1]
+    grid[-1] = grid[-1][n:]
+    for i in range(n - 2, -1, -1):
+        row = grid[i]
+        y = [d * x for x in row[n:]]
+        for k in range(i + 1, n):
+            u = row[k]
+            if u:
+                yk = grid[k]
+                for j in range(n):
+                    y[j] -= u * yk[j]
+        p = row[i]
+        grid[i] = [x // p for x in y]
+    return Matrix._from_grid(d, grid)
 
 
 def submatrix(a: Matrix, row_idx: Union[IndexSet, Iterable[int]], col_idx: Union[IndexSet, Iterable[int]]) -> Matrix:

@@ -26,7 +26,7 @@ from zmx.cyclic import (
     roundtrip_check,
 )
 from zmx.digraph import _maybee_inverse, digraph_of, is_irreducible, is_unipathic
-from zmx.errors import ORDER_CAP, check_order_cap
+from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
 from zmx.matrix import det, inverse
 from zmx.sampling import (
     _cyclic_pairs,
@@ -239,9 +239,10 @@ def _type_d(n_lo, n_hi, trials, seed, cap):
 
 
 def _circulant_inverse_conforms(a, mode, cap):
-    if det(a) == 0:
+    try:
+        inv = inverse(a)
+    except SingularMatrixError:
         return False
-    inv = inverse(a)
     if not is_bdsw(inv):
         return False
     return is_nonsingular_m(inv, cap) if mode == "nonneg" else is_n(inv, cap)

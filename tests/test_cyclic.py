@@ -35,6 +35,7 @@ from zmx import (
     shift_matrix,
     submatrix,
 )
+from zmx import cyclic
 from zmx.sampling import random_bdsw, random_cyclic_params, random_inverse_cyclic
 
 
@@ -320,6 +321,21 @@ def test_cyclic_inverse_goldens():
     # d = c forces singularity; here d = c = 1
     with pytest.raises(SingularMatrixError):
         cyclic_inverse(mk([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (1, 2), (3, 0), (2, 0)])
+def test_cyclic_inverse_rejects_a_corrupted_closed_form(monkeypatch, cell):
+    # a diagonal, hop, corner or off-pattern cell of B off by one fails A*B = I
+    layout = cyclic._cycle_grid
+
+    def corrupted(diag, hops):
+        rows = layout(diag, hops)
+        rows[cell[0]][cell[1]] += 1
+        return rows
+
+    monkeypatch.setattr(cyclic, "_cycle_grid", corrupted)
+    with pytest.raises(ArithmeticError, match="A\\*B = I"):
+        cyclic_inverse(A4)
 
 
 def test_singular_iff_d_equals_c():

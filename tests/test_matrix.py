@@ -1,10 +1,13 @@
 """Matrix layer: exact scalars, determinants, inverses, minors.
 
 The determinant and the inverse share one fraction-free Bareiss elimination
-over a cleared-denominator integer grid. Both are checked against slower
-textbook routines written independently in this file (first-row cofactor
-expansion, Gauss-Jordan with fraction pivoting, the adjugate of cofactor
-determinants), and against sympy when it is installed.
+over a cleared-denominator integer grid; the inverse runs it forward on
+[G | L*I] and finishes with a fraction-free back substitution. Both are
+checked against slower textbook routines written independently in this file
+(first-row cofactor expansion, Gauss-Jordan with fraction pivoting, the
+adjugate of cofactor determinants), against the Gauss-Jordan form of
+Bareiss's elimination that the inverse used before, and against sympy when
+it is installed.
 """
 
 import random
@@ -77,7 +80,7 @@ def gauss_jordan_inverse(a):
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
-            raise ZeroDivisionError("singular")
+            raise SingularMatrixError("singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         p = aug[col][col]
         aug[col] = [x / p for x in aug[col]]
@@ -86,6 +89,28 @@ def gauss_jordan_inverse(a):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return Matrix([row[n:] for row in aug])
+
+
+def bareiss_gauss_jordan_inverse(a):
+    """Reference inverse: Bareiss's fraction-free elimination of [G | L*I],
+    Gauss-Jordan style, reducing every row at every pivot, so that the right
+    block ends as the last pivot times A^-1."""
+    n, lcm = a.n, a._lcm
+    m = [list(row) + [lcm if j == i else 0 for j in range(n)] for i, row in enumerate(a._grid)]
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                raise SingularMatrixError("singular")
+            m[k], m[r] = m[r], m[k]
+        pivot = m[k][k]
+        for i in range(n):
+            if i != k:
+                factor = m[i][k]
+                m[i] = [(x * pivot - factor * y) // prev for x, y in zip(m[i], m[k])]
+        prev = pivot
+    return Matrix._from_grid(prev, [row[n:] for row in m])
 
 
 def cofactor_inverse(a):
@@ -147,6 +172,38 @@ def mul_operands(draw):
     # bdsw-patterned, dense and zero-heavy operands
     kinds = [(NONZERO, on_bdsw(n)), (NONZERO,), (SMALL,)]
     return [square(draw, n, *draw(st.sampled_from(kinds))) for _ in range(2)]
+
+
+def small_ints(draw, n, lo, hi, nonzero=False):
+    values = [x for x in range(lo, hi + 1) if x or not nonzero]
+    return [draw(st.sampled_from(values)) for _ in range(n)]
+
+
+@st.composite
+def inverse_inputs(draw):
+    """Orders 1-24: dense integer, coprime-denominator, bdsw and tridiagonal
+    inputs; row-shuffled upper triangular ones, whose zero leading entries
+    force row swaps; and L*U products whose last pivot alone vanishes."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(("dense", "coprime", "bdsw", "tridiagonal", "swaps", "last-pivot")))
+    if kind == "dense":
+        return Matrix([small_ints(draw, n, -9, 9) for _ in range(n)])
+    if kind == "coprime":
+        return Matrix([[Fraction(p, draw(st.sampled_from((1, 2, 3, 5, 7))))
+                        for p in small_ints(draw, n, -9, 9)] for _ in range(n)])
+    if kind == "bdsw":
+        return square(draw, n, NONZERO, on_bdsw(n))
+    if kind == "tridiagonal":
+        return square(draw, n, NONZERO, lambda i, j: abs(i - j) <= 1)
+    upper = [[0] * i + small_ints(draw, 1, -3, 3, nonzero=True) + small_ints(draw, n - i - 1, -3, 3)
+             for i in range(n)]
+    if kind == "swaps":
+        return Matrix([upper[i] for i in draw(st.permutations(range(n)))])
+    # unit lower triangular times upper triangular with a zero last pivot:
+    # every leading minor but the full determinant is nonzero
+    upper[-1][-1] = 0
+    lower = [small_ints(draw, i, -3, 3) + [1] + [0] * (n - i - 1) for i in range(n)]
+    return Matrix(lower) * Matrix(upper)
 
 
 def random_rows(rng, n):
@@ -268,6 +325,19 @@ def test_inverse_matches_cofactor_oracle(pair):
         assert inverse(a) == want
         assert inverse(inverse(a)) == a
     assert det(a * b) == det(a) * det(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inverse_inputs())
+def test_inverse_matches_gauss_jordan_oracles(a):
+    outcomes = []
+    for f in (inverse, bareiss_gauss_jordan_inverse, gauss_jordan_inverse):
+        try:
+            outcomes.append(f(a))
+        except SingularMatrixError:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert (outcomes[0] is None) == (det(a) == 0)
 
 
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
