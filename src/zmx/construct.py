@@ -2,19 +2,20 @@
 
 from_cyclic_params rebuilds a full inverse cyclic matrix from its free
 parameters (diagonal, super-diagonal, corner) by walking the cycle
-1 -> ... -> n -> 1 in integer numerator/denominator pairs: every remaining
-entry is the monomial forced by the case-equations. bdsw_matrix lays out
-the sparse pattern directly. type_d builds the constant-on-L-shapes family
-a_ij = a_min(i,j) from a strictly increasing parameter list, whose inverse
-is tridiagonal. circulant_pz evaluates a polynomial in the cyclic shift
-matrix by laying out the circulant it equals; circulant_conditions tests the
-parameter conditions under which its inverse is a bdsw M- or N-matrix.
+1 -> ... -> n -> 1 over one integer denominator: every other entry is the
+monomial the case-equations force. bdsw_matrix lays out the sparse pattern
+directly. type_d builds the constant-on-L-shapes family a_ij = a_min(i,j)
+from a strictly increasing parameter list, whose inverse is tridiagonal.
+circulant_pz evaluates a polynomial in the cyclic shift matrix by laying out
+the circulant it equals; circulant_conditions tests the parameter conditions
+under which its inverse is a bdsw M- or N-matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 from zmx.cyclic import _cycle_grid
@@ -53,20 +54,20 @@ def _pairs(xs) -> list[tuple[int, int]]:
 
 def _cycle_walk(diag, hops) -> Matrix:
     """The inverse cyclic matrix whose nonzero diagonal and hops (the corner
-    last) are the integer (numerator, denominator) pairs diag and hops: the
-    walk a_ij = d_i * prod h_k / d_k over the hops k from i to j, in pairs."""
+    last) are the lowest-terms pairs diag and hops: a_ij = d_i * prod h_k / d_k
+    over the hops k from i to j. On integers d, h, row i of D*K*A, D = prod d,
+    starts at D * d_i, and each hop's division by d_k is exact."""
     n = len(diag)
     if n < 2:
         raise ValueError("need at least 2 diagonal parameters")
-    ratios = [(hp * dq, hq * dp) for (hp, hq), (dp, dq) in zip(hops, diag)]
-    cells = [[x] * n for x in diag]
-    for i, row in enumerate(cells):
-        p, q = row[i]
-        for t in range(i + 1, i + n):
-            rp, rq = ratios[(t - 1) % n]  # the hop into vertex t % n
-            p, q = p * rp, q * rq
-            row[t % n] = (p, q)
-    return Matrix._from_grid(*_cleared(cells))
+    k, (d, h) = _cleared([diag, hops])
+    big, steps, rows = prod(d), list(zip(h, d)) * 2, []
+    for i, x in enumerate(d):
+        walk = [big * x]  # the vertices i, i + 1, ..., i - 1 mod n
+        for p, q in steps[i:i + n - 1]:
+            walk.append(walk[-1] * p // q)
+        rows.append(walk[n - i:] + walk[:n - i])
+    return Matrix._from_grid(big * k, rows)
 
 
 def _bdsw(diag, hops) -> Matrix:

@@ -8,12 +8,15 @@ only when rows, entry, str or repr ask for them. The public API is 1-based:
 A[i, j] is the entry in row i, column j for 1 <= i, j <= n, matching the
 convention used in the docs, error messages and the CLI formats.
 
-Arithmetic runs on G and re-canonicalises with one gcd pass. det and inverse
-run one fraction-free Bareiss elimination over G (det A = det G / L^n). The
-inverse runs it forward on [G | L*I], then a fraction-free back substitution
-finds d * A^-1, d the last pivot, which is an integer grid, so every division
-is exact. _principal_minors is the one principal-minor sweep, shared by the
-Z-matrix taxonomy and the path formula for inverse entries.
+Arithmetic runs on G and re-canonicalises with one gcd pass. Products of
+sparse factors loop over their nonzeros; dense ones pack each row of the
+right factor into one big integer of fixed-width slots, by Kronecker
+substitution. det and inverse run one fraction-free Bareiss elimination over
+G (det A = det G / L^n). The inverse runs it forward on [G | L*I], then a
+fraction-free back substitution finds d * A^-1, d the last pivot, which is
+an integer grid, so every division is exact. _principal_minors is the one
+principal-minor sweep, shared by the Z-matrix taxonomy and the path formula
+for inverse entries.
 """
 
 from __future__ import annotations
@@ -45,6 +48,27 @@ def _cleared(cells) -> tuple[int, list[list[int]]]:
     of the denominators; canonical when every pair is in lowest terms."""
     k = math.lcm(*(q for row in cells for _, q in row))
     return k, [[p * (k // q) for p, q in row] for row in cells]
+
+
+_PACK_AT = 10  # multiply-adds per output entry past which packing beats the loop
+
+
+def _packed_product(a, b) -> list[list[int]]:
+    """The integer product of two nonzero square grids by Kronecker
+    substitution: row k of b becomes one integer of w-byte slots, so an output
+    row is one big-integer multiply-add per nonzero entry of a's row. Its slots
+    hold the dot products plus n*max|a|*max|b|, which keeps them nonnegative."""
+    n, mb = len(a), max(map(abs, chain.from_iterable(b)))
+    off = n * max(map(abs, chain.from_iterable(a))) * mb
+    w = off.bit_length() // 8 + 1  # bytes enough for 0..2*off
+    ones = int.from_bytes((bytes(w - 1) + b"\1") * n, "big")
+    packed = [int.from_bytes(b"".join([(x + mb).to_bytes(w, "big") for x in row]), "big") - mb * ones
+              for row in b]
+    out = []
+    for arow in a:
+        s = (off * ones + sum([x * p for x, p in zip(arow, packed) if x])).to_bytes(n * w, "big")
+        out.append([int.from_bytes(s[j:j + w], "big") - off for j in range(0, n * w, w)])
+    return out
 
 
 class Matrix:
@@ -140,13 +164,18 @@ class Matrix:
         if isinstance(other, Matrix):
             if other.n != self.n:
                 raise ValueError("matrix orders differ")
+            n, brows = self.n, other._grid
+            # the loop makes nnz(A) * nnz(B) / n^3 multiply-adds per output
+            # entry; B is counted only if nnz(B) = n^2 would reach _PACK_AT
+            nnz, top = n * n - sum([row.count(0) for row in self._grid]), _PACK_AT * n
+            if nnz > top and nnz * (n * n - sum([row.count(0) for row in brows])) > top * n * n:
+                return Matrix._from_grid(self._lcm * other._lcm, _packed_product(self._grid, brows))
             # each output row sums the rows of other scaled by the nonzero
             # entries of the left row, so a sparse factor costs its nonzeros
-            brows = other._grid
             bnz = [[j for j, b in enumerate(brow) if b] for brow in brows]
             out = []
             for arow in self._grid:
-                orow = [0] * self.n
+                orow = [0] * n
                 for k, a in enumerate(arow):
                     if a:
                         brow = brows[k]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zmx import (
     ORDER_CAP,
@@ -28,6 +30,8 @@ from zmx import (
     type_d,
     type_d_verify,
 )
+from zmx.construct import _cycle_walk
+from zmx.matrix import _cleared
 from zmx.sampling import random_inverse_cyclic
 
 
@@ -123,6 +127,37 @@ def test_from_cyclic_params_goldens():
         [-2, 1, 1],
         [2, -2, -1],
     ])
+
+
+def pair_walk(diag, hops):
+    """Reference walk: every entry a (numerator, denominator) pair, each hop
+    multiplying both by the hop's ratio h_k / d_k, cleared at the end."""
+    n = len(diag)
+    ratios = [(hp * dq, hq * dp) for (hp, hq), (dp, dq) in zip(hops, diag)]
+    cells = [[x] * n for x in diag]
+    for i, row in enumerate(cells):
+        p, q = row[i]
+        for t in range(i + 1, i + n):
+            rp, rq = ratios[(t - 1) % n]  # the hop into vertex t % n
+            p, q = p * rp, q * rq
+            row[t % n] = (p, q)
+    return Matrix._from_grid(*_cleared(cells))
+
+
+def lowest_pairs(draw, n, numerators):
+    xs = [Fraction(draw(st.sampled_from(numerators)), draw(st.sampled_from((1, 2, 3, 5, 7))))
+          for _ in range(n)]
+    return [(x.numerator, x.denominator) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cycle_walk_matches_the_pair_walk(data):
+    # orders 2-64; negative parameters, zero hops and coprime denominators
+    n = data.draw(st.integers(2, 64))
+    diag = lowest_pairs(data.draw, n, (-4, -3, -1, 1, 2, 4))
+    hops = lowest_pairs(data.draw, n, (-3, -2, -1, 0, 1, 3))
+    assert _cycle_walk(diag, hops) == pair_walk(diag, hops)
 
 
 def test_from_cyclic_params_always_cyclic_and_extraction_round_trips():

@@ -7,7 +7,8 @@ checked against slower textbook routines written independently in this file
 (first-row cofactor expansion, Gauss-Jordan with fraction pivoting, the
 adjugate of cofactor determinants), against the Gauss-Jordan form of
 Bareiss's elimination that the inverse used before, and against sympy when
-it is installed.
+it is installed. Products, packed and looped, are checked against the
+textbook triple loop.
 """
 
 import random
@@ -32,6 +33,7 @@ from zmx import (
     principal_minor,
     submatrix,
 )
+from zmx import matrix
 
 
 def mk(rows):
@@ -132,10 +134,12 @@ def cofactor_inverse(a):
 
 
 def triple_loop_product(a, b):
-    """Reference product: the textbook sum over k for every entry."""
-    n = a.n
+    """Reference product: the textbook sum over k for every entry, taken on
+    the integer grids L*A and L'*B and divided by L*L' (Fraction sums cost
+    seconds at order 48)."""
+    n, ga, gb = a.n, a._grid, b._grid
     return Matrix([
-        [sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), Fraction(0))
+        [Fraction(sum(ga[i][k] * gb[k][j] for k in range(n)), a._lcm * b._lcm)
          for j in range(n)]
         for i in range(n)
     ])
@@ -168,10 +172,32 @@ def on_bdsw(n):
 
 @st.composite
 def mul_operands(draw):
-    n = draw(st.integers(1, 7))
-    # bdsw-patterned, dense and zero-heavy operands
-    kinds = [(NONZERO, on_bdsw(n)), (NONZERO,), (SMALL,)]
-    return [square(draw, n, *draw(st.sampled_from(kinds))) for _ in range(2)]
+    """Orders 1-48, so that products run on both sides of the packing
+    crossover: dense, coprime-denominator, negative, zero-heavy and bdsw
+    factors, a sparse left factor times a dense right one, and A times
+    inverse(A), whose wide entries stress the slot width."""
+    n = draw(st.integers(1, 48))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def grid(values, dens=(1,), pattern=lambda i, j: True):
+        return Matrix([[Fraction(rng.choice(values), rng.choice(dens)) if pattern(i, j) else 0
+                        for j in range(n)] for i in range(n)])
+
+    digits = range(-9, 10)
+    factors = {
+        "dense": lambda: grid(digits),
+        "coprime": lambda: grid(digits, (1, 2, 3, 5, 7)),
+        "negative": lambda: grid(range(-9, 0), (1, 2, 3)),
+        "zero-heavy": lambda: grid((0, 0, 0, 1, -1, 2, -3), (1, 2, 3, 5, 7)),
+        "bdsw": lambda: grid((1, -1, 2, -3, 4), (1, 2, 3, 5, 7), on_bdsw(n)),
+    }
+    kind = draw(st.sampled_from((*factors, "sparse-dense", "inverse")))
+    if kind == "sparse-dense":
+        return [factors[draw(st.sampled_from(("zero-heavy", "bdsw")))](), factors["coprime"]()]
+    if kind == "inverse":
+        a = factors[draw(st.sampled_from(("dense", "coprime")))]()
+        return [a, inverse(a) if det(a) else a]
+    return [factors[kind](), factors[draw(st.sampled_from(list(factors)))]()]
 
 
 def small_ints(draw, n, lo, hi, nonzero=False):
@@ -367,6 +393,32 @@ def test_mul_matches_triple_loop(operands):
     a, b = operands
     assert a * b == triple_loop_product(a, b)
     assert b * a == triple_loop_product(b, a)
+
+
+def test_products_on_each_side_of_the_packing_crossover(monkeypatch):
+    # nnz(A) * nnz(B) = _PACK_AT * n^3 keeps the loop; one more nonzero packs
+    n, rng = 12, random.Random(16)
+    real, packed = matrix._packed_product, []
+    monkeypatch.setattr(matrix, "_packed_product", lambda a, b: packed.append(1) or real(a, b))
+    b = Matrix([[Fraction(rng.choice((-9, -2, 1, 5)), rng.choice((1, 3, 7))) for _ in range(n)]
+                for _ in range(n)])
+    for extra in (0, 1):
+        cells = [Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice((1, 2, 5)))
+                 for _ in range(matrix._PACK_AT * n + extra)]
+        cells += [0] * (n * n - len(cells))
+        rng.shuffle(cells)
+        a = Matrix([cells[i * n:(i + 1) * n] for i in range(n)])
+        assert a * b == triple_loop_product(a, b)
+        assert len(packed) == extra
+
+
+def test_packed_slots_hold_the_extreme_dot_products():
+    # every dot product of v*J times +-9*J is +-9*n*v, the packing offset, so
+    # the slots reach both ends of their range; 9*n*v takes bit lengths 7-12
+    for n in range(11, 49):
+        for v in range(1, 10):
+            for w in (9, -9):
+                assert Matrix([[v] * n] * n) * Matrix([[w] * n] * n) == Matrix([[n * v * w] * n] * n)
 
 
 def test_inverse_of_singular_raises():
