@@ -8,12 +8,11 @@ only when rows, entry, str or repr ask for them. The public API is 1-based:
 A[i, j] is the entry in row i, column j for 1 <= i, j <= n, matching the
 convention used in the docs, error messages and the CLI formats.
 
-Arithmetic runs on G and re-canonicalises with one gcd pass. Products of
-sparse factors loop over their nonzeros; dense ones pack each row of the
-right factor into one big integer of fixed-width slots, by Kronecker
-substitution. det and inverse run one fraction-free Bareiss elimination over
-G (det A = det G / L^n). The inverse runs it forward on [G | L*I], then a
-fraction-free back substitution finds d * A^-1, d the last pivot, which is
+Arithmetic runs on G and re-canonicalises with one gcd pass; dense products
+pack each row of the right grid into one big integer (Kronecker
+substitution). det and inverse run one fraction-free Bareiss elimination
+over G (det A = det G / L^n). The inverse runs it forward on [G | L*I], then
+a fraction-free back substitution finds d * A^-1, d the last pivot, which is
 an integer grid, so every division is exact. _principal_minors is the one
 principal-minor sweep, shared by the Z-matrix taxonomy and the path formula
 for inverse entries.
@@ -54,10 +53,9 @@ _PACK_AT = 10  # multiply-adds per output entry past which packing beats the loo
 
 
 def _packed_product(a, b) -> list[list[int]]:
-    """The integer product of two nonzero square grids by Kronecker
-    substitution: row k of b becomes one integer of w-byte slots, so an output
-    row is one big-integer multiply-add per nonzero entry of a's row. Its slots
-    hold the dot products plus n*max|a|*max|b|, which keeps them nonnegative."""
+    """The integer product of two nonzero square grids by Kronecker substitution:
+    each row of b becomes one integer of w-byte slots, so an output row is one
+    sum of products, whose slots hold its dot products plus n*max|a|*max|b|."""
     n, mb = len(a), max(map(abs, chain.from_iterable(b)))
     off = n * max(map(abs, chain.from_iterable(a))) * mb
     w = off.bit_length() // 8 + 1  # bytes enough for 0..2*off
@@ -165,8 +163,7 @@ class Matrix:
             if other.n != self.n:
                 raise ValueError("matrix orders differ")
             n, brows = self.n, other._grid
-            # the loop makes nnz(A) * nnz(B) / n^3 multiply-adds per output
-            # entry; B is counted only if nnz(B) = n^2 would reach _PACK_AT
+            # the loop's multiply-adds per output entry: nnz(A) * nnz(B) / n^3 <= nnz(A) / n
             nnz, top = n * n - sum([row.count(0) for row in self._grid]), _PACK_AT * n
             if nnz > top and nnz * (n * n - sum([row.count(0) for row in brows])) > top * n * n:
                 return Matrix._from_grid(self._lcm * other._lcm, _packed_product(self._grid, brows))
