@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import compress
 from math import prod
 from typing import NamedTuple, Optional
 
@@ -129,10 +130,10 @@ def cyclic_inverse(a: Matrix) -> Matrix:
         b_ii = r / a_ii
         b_ij = -r * a_ij / (a_ii * a_jj)   for j = i+1 or (i,j) = (n,1)
 
-    The product A*B is checked against the identity before returning (for
-    square matrices over Q, A*B = I implies B*A = I); a failure would be a
-    counterexample to the formula and raises ArithmeticError instead of
-    handing back silently wrong data.
+    A*B = I is checked on the integer grids, column by column, over every
+    nonzero of B, before returning (for square matrices over Q, A*B = I
+    implies B*A = I); a failure would be a counterexample to the formula and
+    raises ArithmeticError instead of handing back silently wrong data.
     """
     if not is_inverse_cyclic(a):
         raise NotInverseCyclicError("inverse formula needs the inverse cyclic property")
@@ -146,8 +147,18 @@ def cyclic_inverse(a: Matrix) -> Matrix:
     b = Matrix._from_grid(d - c, _cycle_grid(
         [lcm * (d // x) for x in diag],
         [-lcm * h * (d // (diag[i] * diag[(i + 1) % n])) for i, h in enumerate(hops)]))
-    if a * b != Matrix.identity(n):
-        raise ArithmeticError("closed-form inverse failed the A*B = I verification")
+    # column j of G_A * G_B, the columns of G_A scaled by the nonzeros of
+    # column j of G_B (a zero column gives zeros), must be L_A * L_B * e_j
+    cols, one = list(zip(*a._grid)), lcm * b._lcm
+    for j, bcol in enumerate(zip(*b._grid)):
+        terms = compress(zip(bcol, cols), bcol)
+        x, col = next(terms, (0, cols[0]))
+        s = [x * v for v in col]
+        for x, col in terms:
+            s = [u + x * v for u, v in zip(s, col)]
+        s[j] -= one
+        if any(s):
+            raise ArithmeticError("closed-form inverse failed the A*B = I verification")
     return b
 
 

@@ -11,11 +11,11 @@ convention used in the docs, error messages and the CLI formats.
 Arithmetic runs on G and re-canonicalises with one gcd pass; dense products
 pack each row of the right grid into one big integer (Kronecker
 substitution). det and inverse run one fraction-free Bareiss elimination
-over G (det A = det G / L^n). The inverse runs it forward on [G | L*I], then
-a fraction-free back substitution finds d * A^-1, d the last pivot, which is
-an integer grid, so every division is exact. _principal_minors is the one
-principal-minor sweep, shared by the Z-matrix taxonomy and the path formula
-for inverse entries.
+over G (det A = det G / L^n). The inverse runs it forward on the live
+columns of [G | I], then a fraction-free back substitution finds d * A^-1,
+d the last pivot, which is an integer grid, so every division is exact.
+_principal_minors is the one principal-minor sweep, shared by the Z-matrix
+taxonomy and the path formula for inverse entries.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def _as_indices(n: int, s: Union[IndexSet, Iterable[int]], *, allow_empty: bool 
     return idx
 
 
-def _bareiss(m: list[list[int]]) -> int:
+def _bareiss(m: list[list[int]], swaps: Optional[list] = None) -> int:
     """Fraction-free Bareiss elimination of the left n x n block of the n x w
     integer grid m, in place. Returns that block's determinant.
 
@@ -254,6 +254,12 @@ def _bareiss(m: list[list[int]]) -> int:
     it returns 0, the block ends upper triangular with the pivots on its
     diagonal, the last pivot m[-1][n-1] being the determinant of the
     row-swapped block.
+
+    With a list swaps, m is [G | 0], reduced as [G | I] with the right block
+    in pivot order: at step k, the rows below the pivot are zero there but in
+    the earlier pivots' columns and their own identity cell, prev. So pivot k
+    gets that cell at column n+k, only columns k+1..n+k of the rows below are
+    live, and each row swap (k, r) is appended to swaps.
     """
     n = len(m)
     w = len(m[0])
@@ -264,12 +270,16 @@ def _bareiss(m: list[list[int]]) -> int:
             for r in range(k + 1, n):
                 if m[r][k] != 0:
                     m[k], m[r] = m[r], m[k]
+                    if swaps is not None:
+                        swaps.append((k, r))
                     sign = -sign
                     break
             else:
                 return 0
         row_k = m[k]
         pivot = row_k[k]
+        if swaps is not None:
+            row_k[n + k], w = prev, n + k + 1
         for i in range(k + 1, n):
             row_i = m[i]
             factor = row_i[k]
@@ -342,19 +352,20 @@ def det(a: Matrix) -> Fraction:
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse. Raises SingularMatrixError when det(a) = 0."""
     n = a.n
-    lcm = a._lcm
-    grid = [list(row) + [lcm if j == i else 0 for j in range(n)] for i, row in enumerate(a._grid)]
-    if _bareiss(grid) == 0:
+    swaps = []
+    grid = [list(row) + [0] * n for row in a._grid]
+    if _bareiss(grid, swaps) == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
-    # now U * A^-1 = R for the triangular left block U and the right block R.
-    # With d the last pivot, Y = d * A^-1 = +-L * adj G is an integer grid, so
-    # Y_n = R_n and Y_i = (d * R_i - sum over k > i of U_ik * Y_k) / U_ii divide
-    # exactly; row i of grid becomes Y_i, and no entry becomes a Fraction here
-    d = grid[-1][n - 1]
-    grid[-1] = grid[-1][n:]
+    # now U * G^-1 = R for the triangular left block U and the right block R,
+    # whose columns are in pivot order. With d the last pivot, Y = d * A^-1 =
+    # +-L * adj G is an integer grid, so Y_n = L * R_n and Y_i = (d * L * R_i -
+    # sum over k > i of U_ik * Y_k) / U_ii divide exactly: no Fraction here
+    lcm, d = a._lcm, grid[-1][n - 1]
+    dl = d * lcm
+    grid[-1] = [lcm * x for x in grid[-1][n:]]
     for i in range(n - 2, -1, -1):
         row = grid[i]
-        y = [d * x for x in row[n:]]
+        y = [dl * x for x in row[n:]]
         for k in range(i + 1, n):
             u = row[k]
             if u:
@@ -363,6 +374,9 @@ def inverse(a: Matrix) -> Matrix:
                     y[j] -= u * yk[j]
         p = row[i]
         grid[i] = [x // p for x in y]
+    for k, r in reversed(swaps):  # Y's columns back in the order of [G | I]
+        for y in grid:
+            y[k], y[r] = y[r], y[k]
     return Matrix._from_grid(d, grid)
 
 
@@ -401,8 +415,8 @@ def complementary_minor_check(a: Matrix, alpha: Union[IndexSet, Iterable[int]], 
         raise ValueError("alpha and beta must have equal size")
     b = inverse(a)
     lhs = det(submatrix(b, al, be))
-    al_c = tuple(i for i in range(1, n + 1) if i not in set(al))
-    be_c = tuple(i for i in range(1, n + 1) if i not in set(be))
+    al_c = IndexSet(n, al).complement().members
+    be_c = IndexSet(n, be).complement().members
     comp = det(submatrix(a, be_c, al_c)) if be_c else Fraction(1)
     sign = -1 if (sum(al) + sum(be)) % 2 else 1
     return lhs == sign * comp / det(a)

@@ -323,9 +323,28 @@ def test_cyclic_inverse_goldens():
         cyclic_inverse(mk([[1, 1], [1, 1]]))
 
 
-@pytest.mark.parametrize("cell", [(0, 0), (1, 2), (3, 0), (2, 0)])
-def test_cyclic_inverse_rejects_a_corrupted_closed_form(monkeypatch, cell):
+# order 9, d = -24 != c = -16
+A9 = from_cyclic_params([2, -1, 1, 3, -2, 1, 1, -1, 2], [1, 2, -1, 1, 1, -2, 2, 1], -2)
+
+
+@pytest.mark.parametrize("a, cell", [
+    pytest.param(A4, (0, 0), id="cell0"),
+    pytest.param(A4, (1, 2), id="cell1"),
+    pytest.param(A4, (3, 0), id="cell2"),
+    pytest.param(A4, (2, 0), id="cell3"),
+    # at order 2 the pattern covers all four cells
+    pytest.param(mk([[2, 1], [3, 5]]), (1, 0), id="order2-corner"),
+    pytest.param(mk([[2, 1], [3, 5]]), (0, 1), id="order2-hop"),
+    pytest.param(A9, (5, 2), id="order9-below-diagonal"),
+    pytest.param(A9, (1, 4), id="order9-above-hops"),
+    pytest.param(A9, (8, 4), id="order9-last-row"),
+    pytest.param(A9, (8, 0), id="order9-corner"),
+    # at order 1 the corner is the diagonal
+    pytest.param(mk([[Fraction(-3, 2)]]), (0, 0), id="order1-diagonal"),
+])
+def test_cyclic_inverse_rejects_a_corrupted_closed_form(monkeypatch, a, cell):
     # a diagonal, hop, corner or off-pattern cell of B off by one fails A*B = I
+    assert is_inverse_cyclic(a) and cyclic_det(a) != 0
     layout = cyclic._cycle_grid
 
     def corrupted(diag, hops):
@@ -335,7 +354,7 @@ def test_cyclic_inverse_rejects_a_corrupted_closed_form(monkeypatch, cell):
 
     monkeypatch.setattr(cyclic, "_cycle_grid", corrupted)
     with pytest.raises(ArithmeticError, match="A\\*B = I"):
-        cyclic_inverse(A4)
+        cyclic_inverse(a)
 
 
 def test_singular_iff_d_equals_c():

@@ -2,7 +2,8 @@
 
 The determinant and the inverse share one fraction-free Bareiss elimination
 over a cleared-denominator integer grid; the inverse runs it forward on
-[G | L*I] and finishes with a fraction-free back substitution. Both are
+[G | I], reducing only the live right-block columns, and finishes with a
+fraction-free back substitution. Both are
 checked against slower textbook routines written independently in this file
 (first-row cofactor expansion, Gauss-Jordan with fraction pivoting, the
 adjugate of cofactor determinants), against the Gauss-Jordan form of
@@ -209,9 +210,15 @@ def small_ints(draw, n, lo, hi, nonzero=False):
 def inverse_inputs(draw):
     """Orders 1-24: dense integer, coprime-denominator, bdsw and tridiagonal
     inputs; row-shuffled upper triangular ones, whose zero leading entries
-    force row swaps; and L*U products whose last pivot alone vanishes."""
+    force row swaps; L*U products whose last pivot alone vanishes; and
+    nonsingular L*U products whose leading k x k minor alone vanishes, which
+    swap rows at step k-1 with nonzero factors and k-1 live right-block
+    columns."""
     n = draw(st.integers(1, 24))
-    kind = draw(st.sampled_from(("dense", "coprime", "bdsw", "tridiagonal", "swaps", "last-pivot")))
+    kind = draw(st.sampled_from(("dense", "coprime", "bdsw", "tridiagonal", "swaps", "last-pivot",
+                                 "zero-minor")))
+    if kind == "zero-minor":
+        n = max(n, 3)  # room for 2 <= k < n
     if kind == "dense":
         return Matrix([small_ints(draw, n, -9, 9) for _ in range(n)])
     if kind == "coprime":
@@ -225,9 +232,15 @@ def inverse_inputs(draw):
              for i in range(n)]
     if kind == "swaps":
         return Matrix([upper[i] for i in draw(st.permutations(range(n)))])
-    # unit lower triangular times upper triangular with a zero last pivot:
-    # every leading minor but the full determinant is nonzero
-    upper[-1][-1] = 0
+    if kind == "zero-minor":
+        # rows k-1 and k of upper swapped: row k-1 starts with k zeros, so the
+        # leading k x k minor is zero, and every other leading minor is not
+        k = draw(st.integers(2, n - 1))
+        upper[k - 1], upper[k] = upper[k], upper[k - 1]
+    else:
+        # unit lower triangular times upper triangular with a zero last pivot:
+        # every leading minor but the full determinant is nonzero
+        upper[-1][-1] = 0
     lower = [small_ints(draw, i, -3, 3) + [1] + [0] * (n - i - 1) for i in range(n)]
     return Matrix(lower) * Matrix(upper)
 
