@@ -3,12 +3,11 @@
 The determinant and the inverse share one fraction-free Bareiss elimination
 over a cleared-denominator integer grid; the inverse runs it forward on
 [G | I], reducing only the live right-block columns, and finishes with a
-fraction-free back substitution. Both are
-checked against slower textbook routines written independently in this file
-(first-row cofactor expansion, Gauss-Jordan with fraction pivoting, the
-adjugate of cofactor determinants), against the Gauss-Jordan form of
-Bareiss's elimination that the inverse used before, and against sympy when
-it is installed. Products, packed and looped, are checked against the
+fraction-free back substitution. Both are checked against slower textbook
+routines written independently in this file (first-row cofactor expansion,
+Gauss-Jordan with fraction pivoting, the adjugate of cofactor determinants),
+against the Gauss-Jordan form of Bareiss's elimination that the inverse used
+before, and against sympy when it is installed. Products, packed and looped, are checked against the
 textbook triple loop.
 """
 
