@@ -3,8 +3,9 @@ Where a Z-matrix sits: M, N, N0, F0 and the band index
 ======================================================
 
 Everything below runs on exact rationals, so each minor sign is a fact and
-not a numerical guess.  The price is the combinatorial sweep over principal
-minors, capped at order 12 by default.
+not a numerical guess.  The class predicates and the top three bands cost
+one elimination plus tests on submatrices; only l_index and classify below
+band n-2 sweep every principal minor, which is capped at order 12 by default.
 """
 
 from fractions import Fraction

@@ -172,9 +172,7 @@ def gather_info(a: Matrix, cap: int = ORDER_CAP) -> tuple[ClassReport, CyclicInf
     return report, info
 
 
-def _yn(flag) -> str:
-    if flag is None:
-        return "n/a"
+def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 

@@ -23,6 +23,11 @@ from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
 from zmx.matrix import Matrix, _bareiss, _principal_minors
 
 
+def _is_vertex(v, n: int) -> bool:
+    # integers only, as IndexSet takes indices: 1.5 or 2.0 names no vertex
+    return isinstance(v, int) and 1 <= v <= n
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Vertex set {1..n} plus a set of directed edges, loops allowed."""
@@ -33,12 +38,12 @@ class Digraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 1:
             raise ValueError("digraph needs at least one vertex")
-        es = frozenset((int(i), int(j)) for i, j in edges)
+        es = [(i, j) for i, j in edges]
         for i, j in es:
-            if not (1 <= i <= n and 1 <= j <= n):
+            if not (_is_vertex(i, n) and _is_vertex(j, n)):
                 raise ValueError(f"edge ({i},{j}) outside vertex range 1..{n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", es)
+        object.__setattr__(self, "edges", frozenset(es))
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,8 @@ class Path:
             raise ValueError("a path has at least one edge")
         if len(set(vs)) != len(vs):
             raise ValueError("path vertices must be distinct")
-        if any(not (1 <= v <= self.n) for v in vs):
-            raise ValueError(f"path vertices must lie in 1..{self.n}")
+        if not all(_is_vertex(v, self.n) for v in vs):
+            raise ValueError(f"path vertices must be integers in 1..{self.n}")
 
     @property
     def length(self) -> int:
@@ -112,8 +117,8 @@ def is_irreducible(d: Digraph) -> bool:
 
 def enumerate_paths(d: Digraph, i: int, j: int, cap: int = ORDER_CAP) -> list[Path]:
     """All simple paths from v_i to v_j, i != j, in shortlex order."""
-    if not (1 <= i <= d.n and 1 <= j <= d.n):
-        raise ValueError(f"vertices must lie in 1..{d.n}")
+    if not (_is_vertex(i, d.n) and _is_vertex(j, d.n)):
+        raise ValueError(f"vertices must be integers in 1..{d.n}")
     if i == j:
         raise ValueError("path endpoints must differ")
     check_order_cap(d.n, cap)
@@ -231,8 +236,8 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     directly instead of sweeping all 2^k sets.
     """
     n = a.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"indices must lie in 1..{n}")
+    if not (_is_vertex(i, n) and _is_vertex(j, n)):
+        raise ValueError(f"indices must be integers in 1..{n}")
     lcm, grid = a._lcm, a._grid
     d_g = _det_g(grid)
     i, j = i - 1, j - 1

@@ -231,20 +231,6 @@ class IndexSet:
         return iter(self.members)
 
 
-def _as_indices(n: int, s: Union[IndexSet, Iterable[int]], *, allow_empty: bool = True) -> tuple[int, ...]:
-    idx = tuple(s)
-    if not idx and not allow_empty:
-        raise ValueError("index set must be nonempty")
-    prev = 0
-    for m in idx:
-        if not (1 <= m <= n):
-            raise ValueError(f"index {m} outside 1..{n}")
-        if m <= prev:
-            raise ValueError("indices must be strictly ascending")
-        prev = m
-    return idx
-
-
 def _bareiss(m: list[list[int]], swaps: Optional[list] = None) -> int:
     """Fraction-free Bareiss elimination of the left n x n block of the n x w
     integer grid m, in place. Returns that block's determinant.
@@ -382,8 +368,9 @@ def inverse(a: Matrix) -> Matrix:
 
 def submatrix(a: Matrix, row_idx: Union[IndexSet, Iterable[int]], col_idx: Union[IndexSet, Iterable[int]]) -> Matrix:
     """A[rows|cols] for equal-length ascending 1-based index sequences."""
-    ri = _as_indices(a.n, row_idx, allow_empty=False)
-    ci = _as_indices(a.n, col_idx, allow_empty=False)
+    ri, ci = IndexSet(a.n, row_idx).members, IndexSet(a.n, col_idx).members
+    if not (ri and ci):
+        raise ValueError("index set must be nonempty")
     if len(ri) != len(ci):
         raise ValueError("row and column index sets must have equal size")
     g = a._grid
@@ -392,7 +379,7 @@ def submatrix(a: Matrix, row_idx: Union[IndexSet, Iterable[int]], col_idx: Union
 
 def principal_minor(a: Matrix, idx: Union[IndexSet, Iterable[int]]) -> Fraction:
     """det A[S] for S a subset of {1..n}. The empty minor is 1 by convention."""
-    s = _as_indices(a.n, idx)
+    s = IndexSet(a.n, idx).members
     if not s:
         return Fraction(1)
     return det(submatrix(a, s, s))
@@ -409,14 +396,14 @@ def complementary_minor_check(a: Matrix, alpha: Union[IndexSet, Iterable[int]], 
     complementary minor of the full set is the empty minor, 1.
     """
     n = a.n
-    al = _as_indices(n, alpha, allow_empty=False)
-    be = _as_indices(n, beta, allow_empty=False)
+    al, be = IndexSet(n, alpha), IndexSet(n, beta)
+    if not (al and be):
+        raise ValueError("index set must be nonempty")
     if len(al) != len(be):
         raise ValueError("alpha and beta must have equal size")
     b = inverse(a)
     lhs = det(submatrix(b, al, be))
-    al_c = IndexSet(n, al).complement().members
-    be_c = IndexSet(n, be).complement().members
+    al_c, be_c = al.complement().members, be.complement().members
     comp = det(submatrix(a, be_c, al_c)) if be_c else Fraction(1)
     sign = -1 if (sum(al) + sum(be)) % 2 else 1
     return lhs == sign * comp / det(a)

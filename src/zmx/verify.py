@@ -2,7 +2,9 @@
 
 Each campaign is a generator that replays a documented theorem on randomly
 drawn instances and yields one (label, ok) pair per check; run_verify alone
-counts the checks and collects the labels of the failed ones. A nonempty
+counts the checks and collects the labels of the failed ones. Every campaign
+takes (n_lo, n_hi, trials, seed, cap), but only maybee, type-d and
+zclass-oracles run exponential work, so only they read cap. A nonempty
 failure list is a counterexample report, never a reason to loosen the check.
 Draws are reproducible: every trial reseeds from (seed, campaign, n, trial),
 so campaigns can be rerun or subdivided without changing outcomes.
@@ -132,7 +134,7 @@ def _bdsw_z(n_lo, n_hi, trials, seed, cap):
             a = _draw_cyclic_signed(_rng(seed, "bdsw-z", label, n, t), n, sign, e_positive)
             inv = inverse(a)
             yield f"bdsw-z {label} n={n} trial={t}", (
-                bdsw_sign_classify(a) is verdict and is_bdsw(inv) and conforms(inv, cap)
+                bdsw_sign_classify(a) is verdict and is_bdsw(inv) and conforms(inv)
             )
         # violating parameters must land on Neither
         n = orders[t % len(orders)]
@@ -146,7 +148,7 @@ def _bdsw_z(n_lo, n_hi, trials, seed, cap):
                                           ("neg", n % 2 == 0, is_n)][kind]
             a = _draw_cyclic_signed(rng, n, sign, e_positive)
             inv = inverse(a)
-            ok = bdsw_sign_classify(a) is Verdict.NEITHER and is_bdsw(inv) and not conforms(inv, cap)
+            ok = bdsw_sign_classify(a) is Verdict.NEITHER and is_bdsw(inv) and not conforms(inv)
         yield f"bdsw-z violate kind={kind} n={n} trial={t}", ok
 
 
@@ -195,19 +197,19 @@ def _zclass_oracles(n_lo, n_hi, trials, seed, cap):
             # the entry signs of inv, read off its grid L*inv (L > 0)
             signs = set() if inv is None else {(x > 0) - (x < 0) for r in inv._grid for x in r}
             if eq == "m":
-                lhs = is_nonsingular_m(a, cap)
+                lhs = is_nonsingular_m(a)
                 rhs = inv is not None and signs <= {0, 1}
             elif eq == "m-irr":
-                lhs = is_nonsingular_m(a, cap) and is_irreducible(digraph_of(a))
+                lhs = is_nonsingular_m(a) and is_irreducible(digraph_of(a))
                 rhs = signs == {1}
             elif eq == "n":
-                lhs = is_n(a, cap)
+                lhs = is_n(a)
                 rhs = signs == {-1}
             elif eq == "n0":
-                lhs = is_n0(a, cap)
+                lhs = is_n0(a)
                 rhs = inv is not None and signs <= {-1, 0} and is_irreducible(digraph_of(a))
             else:
-                lhs = is_f0(a, cap)
+                lhs = is_f0(a)
                 check_order_cap(n, cap)  # the oracle sweeps every minor of inv
                 # det a < 0 is implied: the last minor swept is det inv = 1 / det a
                 rhs = (
@@ -232,22 +234,22 @@ def _type_d(n_lo, n_hi, trials, seed, cap):
             ok = rep.tridiagonal and rep.z and rep.l_index_of_inverse == expected
             if ok and pattern is not None:
                 if pattern == "all_negative":
-                    ok = is_n(inv, cap)
+                    ok = is_n(inv)
                 elif pattern == "top_zero":
-                    ok = is_n0(inv, cap) and not is_n(inv, cap)
+                    ok = is_n0(inv) and not is_n(inv)
                 else:
-                    ok = is_f0(inv, cap)
+                    ok = is_f0(inv)
             yield f"type-d n={n} trial={t} pattern={pattern}", ok
 
 
-def _circulant_inverse_conforms(a, mode, cap):
+def _circulant_inverse_conforms(a, mode):
     try:
         inv = inverse(a)
     except SingularMatrixError:
         return False
     if not is_bdsw(inv):
         return False
-    return is_nonsingular_m(inv, cap) if mode == "nonneg" else is_n(inv, cap)
+    return is_nonsingular_m(inv) if mode == "nonneg" else is_n(inv)
 
 
 def _polyn(n_lo, n_hi, trials, seed, cap):
@@ -259,12 +261,12 @@ def _polyn(n_lo, n_hi, trials, seed, cap):
             alpha = random_circulant_alpha(rng, n, mode, conforming=True)
             yield f"polyn {mode} conforming n={n} trial={t}", (
                 circulant_conditions(alpha, mode)
-                and _circulant_inverse_conforms(circulant_pz(alpha), mode, cap)
+                and _circulant_inverse_conforms(circulant_pz(alpha), mode)
             )
             alpha = random_circulant_alpha(rng, n, mode, conforming=False)
             yield f"polyn {mode} broken n={n} trial={t}", not (
                 circulant_conditions(alpha, mode)
-                or _circulant_inverse_conforms(circulant_pz(alpha), mode, cap)
+                or _circulant_inverse_conforms(circulant_pz(alpha), mode)
             )
 
 

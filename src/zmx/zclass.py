@@ -141,7 +141,7 @@ def _weak_m(m, prev=1, done=0, states=None) -> tuple[bool, bool, Optional[int]]:
     return not live, False, done + len(live) if live else None
 
 
-def _band(a: Matrix, low: int, cap: int) -> tuple[int, bool]:
+def _band(a: Matrix, low: int, cap: int = ORDER_CAP) -> tuple[int, bool]:
     """(s, strict): s is l_index(a) if that is at least low, else below low;
     for s >= n-1, strict tells whether every order-s principal submatrix is
     nonsingular M.
@@ -152,7 +152,8 @@ def _band(a: Matrix, low: int, cap: int) -> tuple[int, bool]:
     indices whose own tests failed (a principal submatrix of a weakly M
     matrix is weakly M), each continued from the last state of that
     elimination holding its left-out indices. A failed test's bound fails
-    every band at or above it. Below n-2 the capped sweep finds s.
+    every band at or above it. Below n-2 the capped sweep finds s; the
+    predicates ask for low >= n-2, so they never reach the cap.
     """
     n, g = a.n, a._grid
     states = []
@@ -192,28 +193,28 @@ def _band(a: Matrix, low: int, cap: int) -> tuple[int, bool]:
     return _first_bad_minor(a) - 1, False
 
 
-def is_nonsingular_m(a: Matrix, cap: int = ORDER_CAP) -> bool:
+def is_nonsingular_m(a: Matrix) -> bool:
     """Z and every principal minor positive."""
-    return is_z(a) and _band(a, a.n, cap) == (a.n, True)
+    return is_z(a) and _band(a, a.n) == (a.n, True)
 
 
-def is_m(a: Matrix, cap: int = ORDER_CAP) -> bool:
+def is_m(a: Matrix) -> bool:
     """Z and every principal minor nonnegative (possibly singular M)."""
-    return is_z(a) and _band(a, a.n, cap)[0] == a.n
+    return is_z(a) and _band(a, a.n)[0] == a.n
 
 
-def is_n(a: Matrix, cap: int = ORDER_CAP) -> bool:
+def is_n(a: Matrix) -> bool:
     """Z of order >= 2, proper principal minors all positive, det negative."""
     n = a.n
-    return n >= 2 and is_z(a) and _band(a, n - 1, cap) == (n - 1, True)
+    return n >= 2 and is_z(a) and _band(a, n - 1) == (n - 1, True)
 
 
-def is_n0(a: Matrix, cap: int = ORDER_CAP) -> bool:
+def is_n0(a: Matrix) -> bool:
     """Z, proper principal minors all nonnegative, det negative."""
-    return is_z(a) and _band(a, a.n - 1, cap)[0] == a.n - 1
+    return is_z(a) and _band(a, a.n - 1)[0] == a.n - 1
 
 
-def is_f0(a: Matrix, cap: int = ORDER_CAP) -> bool:
+def is_f0(a: Matrix) -> bool:
     """Z of order >= 3 whose order <= n-2 principal submatrices are all weakly
     M while some order-(n-1) principal submatrix is N0.
 
@@ -221,7 +222,7 @@ def is_f0(a: Matrix, cap: int = ORDER_CAP) -> bool:
     is negative. Returns False below order 3, where the class is not defined.
     """
     n = a.n
-    return n >= 3 and is_z(a) and _band(a, n - 2, cap)[0] == n - 2
+    return n >= 3 and is_z(a) and _band(a, n - 2)[0] == n - 2
 
 
 def l_index(a: Matrix, cap: int = ORDER_CAP) -> int:

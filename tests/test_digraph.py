@@ -63,6 +63,23 @@ def test_digraph_validates_edges():
         Digraph(0, set())
 
 
+def test_vertices_must_be_integers():
+    # a float vertex once compared into range or went through int(): 1.5 gave
+    # empty answers, 3.0 a path ending in 3.0 and 2.5 an edge to 2
+    a = mk([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+    d = digraph_of(a)
+    calls = [
+        lambda: maybee_entry(a, 1, 1.5),
+        lambda: enumerate_paths(d, 1, 1.5),
+        lambda: enumerate_paths(d, 1, 3.0),
+        lambda: Digraph(3, [(1, 2.5)]),
+        lambda: Path((1, 2.0), 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_path_type():
     p = Path((1, 2, 3), 4)
     assert p.length == 2

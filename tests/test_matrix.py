@@ -461,6 +461,13 @@ def test_submatrix_and_principal_minor():
     assert submatrix(d4, [1, 3], [2, 4]) == mk([[1, 1], [2, 3]])
     with pytest.raises(ValueError):
         submatrix(d4, [1, 2], [1])
+    # float indices fail as out-of-range ones do, not inside the grid read
+    with pytest.raises(ValueError):
+        submatrix(d4, [1.0, 2], [1, 2])
+    with pytest.raises(ValueError):
+        principal_minor(d4, [1, 2.5])
+    with pytest.raises(ValueError):
+        complementary_minor_check(d4, [1.0], [1])
 
 
 def test_complementary_minor_golden_cases():

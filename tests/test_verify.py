@@ -62,7 +62,7 @@ def test_every_campaign_runs_clean_small(theorem):
 
 @pytest.mark.parametrize("theorem", sorted(CAMPAIGNS))
 def test_every_campaign_runs_clean_above_the_default_cap_when_raised(theorem):
-    # the cap reaches every predicate, type_d_verify and the maybee checks
+    # the cap reaches type_d_verify, the f0 oracle's sweep and the maybee checks
     n = ORDER_CAP + 1
     s = run_verify(theorem, n, n, 5, 5, cap=n)  # five trials reach every type-d pattern
     assert s.ok and s.checks > 0

@@ -5,6 +5,7 @@ instance here is also cross-checked through the inverse-sign oracle route so
 the two characterizations stay independently verified.
 """
 
+import inspect
 import math
 import random
 from dataclasses import replace
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zmx
 from zmx import (
     ORDER_CAP,
     Matrix,
@@ -23,6 +25,7 @@ from zmx import (
     OrderCapError,
     classify,
     digraph_of,
+    enumerate_paths,
     inverse,
     is_f0,
     is_irreducible,
@@ -36,6 +39,7 @@ from zmx import (
     maybee_entry,
     perron_r,
     principal_minor,
+    run_verify,
     type_d,
     type_d_verify,
     z_decompose,
@@ -195,7 +199,7 @@ def test_order_cap_enforced():
         perron_r(Matrix.zeros(3), 1, cap=2)
     assert l_index(low, cap=3) == 0
     a = Matrix.identity(3)
-    assert is_m(a, cap=2) and classify(a, cap=2).is_nonsingular_m
+    assert is_m(a) and classify(a, cap=2).is_nonsingular_m
     # above the default cap the polynomial calls return
     n = ORDER_CAP + 1
     big = Matrix.identity(n)
@@ -216,10 +220,17 @@ def test_order_cap_enforced():
         lambda: perron_r(big, 1),
         lambda: type_d_verify(range(-3, n - 3)),
         lambda: maybee_entry(big, 1, 2),
+        lambda: enumerate_paths(digraph_of(big), 1, 2),
+        lambda: run_verify("maybee", n, n, 1, 1),
     ]
     for call in capped:
         with pytest.raises(OrderCapError):
             call()
+    # a cap parameter only where a call can raise OrderCapError
+    takes_cap = {name for name in zmx.__all__ if inspect.isfunction(getattr(zmx, name))
+                 and "cap" in inspect.signature(getattr(zmx, name)).parameters}
+    assert takes_cap == {"l_index", "classify", "perron_r", "enumerate_paths",
+                         "maybee_entry", "type_d_verify", "run_verify"}
 
 
 TOL = Fraction(1, 10**9)
