@@ -64,8 +64,7 @@ def test_digraph_validates_edges():
 
 
 def test_vertices_must_be_integers():
-    # a float vertex once compared into range or went through int(): 1.5 gave
-    # empty answers, 3.0 a path ending in 3.0 and 2.5 an edge to 2
+    # vertices are integers, as IndexSet members are: a float in range names none
     a = mk([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
     d = digraph_of(a)
     calls = [

@@ -461,7 +461,7 @@ def test_submatrix_and_principal_minor():
     assert submatrix(d4, [1, 3], [2, 4]) == mk([[1, 1], [2, 3]])
     with pytest.raises(ValueError):
         submatrix(d4, [1, 2], [1])
-    # float indices fail as out-of-range ones do, not inside the grid read
+    # a float index is rejected as an out-of-range one is
     with pytest.raises(ValueError):
         submatrix(d4, [1.0, 2], [1, 2])
     with pytest.raises(ValueError):
