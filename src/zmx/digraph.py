@@ -20,12 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
-from zmx.matrix import Matrix, _bareiss, _principal_minors
-
-
-def _is_vertex(v, n: int) -> bool:
-    # integers only, as IndexSet takes indices: 1.5 or 2.0 names no vertex
-    return isinstance(v, int) and 1 <= v <= n
+from zmx.matrix import Matrix, _bareiss, _is_index, _principal_minors
 
 
 @dataclass(frozen=True)
@@ -36,11 +31,11 @@ class Digraph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        if n < 1:
-            raise ValueError("digraph needs at least one vertex")
+        if not _is_index(n, n):
+            raise ValueError(f"digraph order {n!r} is not a positive integer")
         es = [(i, j) for i, j in edges]
         for i, j in es:
-            if not (_is_vertex(i, n) and _is_vertex(j, n)):
+            if not (_is_index(i, n) and _is_index(j, n)):
                 raise ValueError(f"edge ({i},{j}) outside vertex range 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(es))
@@ -59,8 +54,8 @@ class Path:
             raise ValueError("a path has at least one edge")
         if len(set(vs)) != len(vs):
             raise ValueError("path vertices must be distinct")
-        if not all(_is_vertex(v, self.n) for v in vs):
-            raise ValueError(f"path vertices must be integers in 1..{self.n}")
+        if not (_is_index(self.n, self.n) and all(_is_index(v, self.n) for v in vs)):
+            raise ValueError(f"path vertices must be integers in 1..{self.n!r}")
 
     @property
     def length(self) -> int:
@@ -117,7 +112,7 @@ def is_irreducible(d: Digraph) -> bool:
 
 def enumerate_paths(d: Digraph, i: int, j: int, cap: int = ORDER_CAP) -> list[Path]:
     """All simple paths from v_i to v_j, i != j, in shortlex order."""
-    if not (_is_vertex(i, d.n) and _is_vertex(j, d.n)):
+    if not (_is_index(i, d.n) and _is_index(j, d.n)):
         raise ValueError(f"vertices must be integers in 1..{d.n}")
     if i == j:
         raise ValueError("path endpoints must differ")
@@ -236,7 +231,7 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     directly instead of sweeping all 2^k sets.
     """
     n = a.n
-    if not (_is_vertex(i, n) and _is_vertex(j, n)):
+    if not (_is_index(i, n) and _is_index(j, n)):
         raise ValueError(f"indices must be integers in 1..{n}")
     lcm, grid = a._lcm, a._grid
     d_g = _det_g(grid)

@@ -11,9 +11,10 @@ convention used in the docs, error messages and the CLI formats.
 Arithmetic runs on G and re-canonicalises with one gcd pass; dense products
 pack each row of the right grid into one big integer (Kronecker
 substitution). det and inverse run one fraction-free Bareiss elimination
-over G (det A = det G / L^n). The inverse runs it forward on the live
-columns of [G | I], then a fraction-free back substitution finds d * A^-1,
-d the last pivot, which is an integer grid, so every division is exact.
+over G (det A = det G / L^n). The inverse runs it forward on [G | I], each
+row of I packed into one integer of slots sized by Hadamard's bound; a
+fraction-free back substitution on the packed rows finds d * A^-1, d the
+last pivot, an integer grid, so every division is exact.
 _principal_minors is the one principal-minor sweep, shared by the Z-matrix
 taxonomy and the path formula for inverse entries.
 """
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
 from zmx.errors import SingularMatrixError
@@ -201,6 +203,12 @@ class Matrix:
         return "\n".join(" ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)
 
 
+def _is_index(v, n: int) -> bool:
+    """Whether v is an integer in 1..n (a bool or 2.0 is not), the one check
+    on vertices and indices; _is_index(n, n) says that n is a valid order."""
+    return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Ascending subset of {1, ..., base}. May be empty (a complement can be)."""
@@ -209,12 +217,12 @@ class IndexSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if self.base < 1:
-            raise ValueError("base must be at least 1")
+        if not _is_index(self.base, self.base):
+            raise ValueError(f"base {self.base!r} is not a positive integer")
         object.__setattr__(self, "members", tuple(self.members))
         prev = 0
         for m in self.members:
-            if not isinstance(m, int) or not (1 <= m <= self.base):
+            if not _is_index(m, self.base):
                 raise ValueError(f"index {m} outside 1..{self.base}")
             if m <= prev:
                 raise ValueError("members must be strictly ascending")
@@ -231,21 +239,15 @@ class IndexSet:
         return iter(self.members)
 
 
-def _bareiss(m: list[list[int]], swaps: Optional[list] = None) -> int:
+def _bareiss(m: list[list[int]]) -> int:
     """Fraction-free Bareiss elimination of the left n x n block of the n x w
     integer grid m, in place. Returns that block's determinant.
 
     Only the rows below each pivot are reduced, which is all the determinant
-    needs; columns right of the block undergo the same row operations. Unless
-    it returns 0, the block ends upper triangular with the pivots on its
-    diagonal, the last pivot m[-1][n-1] being the determinant of the
-    row-swapped block.
-
-    With a list swaps, m is [G | 0], reduced as [G | I] with the right block
-    in pivot order: at step k, the rows below the pivot are zero there but in
-    the earlier pivots' columns and their own identity cell, prev. So pivot k
-    gets that cell at column n+k, only columns k+1..n+k of the rows below are
-    live, and each row swap (k, r) is appended to swaps.
+    needs; columns right of the block undergo the same row operations, rows
+    swapped included. Unless it returns 0, the block ends upper triangular
+    with the pivots on its diagonal, the last pivot m[-1][n-1] being the
+    determinant of the row-swapped block.
     """
     n = len(m)
     w = len(m[0])
@@ -256,16 +258,12 @@ def _bareiss(m: list[list[int]], swaps: Optional[list] = None) -> int:
             for r in range(k + 1, n):
                 if m[r][k] != 0:
                     m[k], m[r] = m[r], m[k]
-                    if swaps is not None:
-                        swaps.append((k, r))
                     sign = -sign
                     break
             else:
                 return 0
         row_k = m[k]
         pivot = row_k[k]
-        if swaps is not None:
-            row_k[n + k], w = prev, n + k + 1
         for i in range(k + 1, n):
             row_i = m[i]
             factor = row_i[k]
@@ -337,32 +335,36 @@ def det(a: Matrix) -> Fraction:
 
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse. Raises SingularMatrixError when det(a) = 0."""
-    n = a.n
-    swaps = []
-    grid = [list(row) + [0] * n for row in a._grid]
-    if _bareiss(grid, swaps) == 0:
+    n, lcm, g = a.n, a._lcm, a._grid
+    # Y = d * A^-1 = +-L * adj G, d the last pivot, is an integer grid within
+    # off of zero by Hadamard's bound. So row i of I travels as 1 in the i-th
+    # of n w-bit slots of one integer; Bareiss divides every slot, so the
+    # integer, exactly, and the swaps leave P*G * X = P for X = G^-1
+    off = lcm * math.prod([math.isqrt(sum(map(mul, row, row))) + 1 for row in g])
+    w = off.bit_length() + 1  # bits enough for 0..2*off
+    grid = [[*row, 1 << w * i] for i, row in enumerate(g)]
+    if _bareiss(grid) == 0:
         raise SingularMatrixError("matrix is singular, no inverse exists")
-    # now U * G^-1 = R for the triangular left block U and the right block R,
-    # whose columns are in pivot order. With d the last pivot, Y = d * A^-1 =
-    # +-L * adj G is an integer grid, so Y_n = L * R_n and Y_i = (d * L * R_i -
-    # sum over k > i of U_ik * Y_k) / U_ii divide exactly: no Fraction here
-    lcm, d = a._lcm, grid[-1][n - 1]
+    # now U * G^-1 = R, U the triangular left block, so the packed rows Y_n =
+    # L * R_n and Y_i = (d * L * R_i - sum over k > i of U_ik * Y_k) / U_ii
+    d = grid[-1][n - 1]
     dl = d * lcm
-    grid[-1] = [lcm * x for x in grid[-1][n:]]
+    grid[-1][n] *= lcm
     for i in range(n - 2, -1, -1):
         row = grid[i]
-        y = [dl * x for x in row[n:]]
+        y = dl * row[n]
         for k in range(i + 1, n):
-            u = row[k]
-            if u:
-                yk = grid[k]
-                for j in range(n):
-                    y[j] -= u * yk[j]
-        p = row[i]
-        grid[i] = [x // p for x in y]
-    for k, r in reversed(swaps):  # Y's columns back in the order of [G | I]
-        for y in grid:
-            y[k], y[r] = y[r], y[k]
+            if row[k]:
+                y -= row[k] * grid[k][n]
+        row[n] = y // row[i]
+    # off added in every slot makes each one a w-bit field in 0..2*off
+    mask = (1 << w) - 1
+    shift = off * (((1 << w * n) - 1) // mask)
+    for row in grid:
+        y = row.pop() + shift
+        for j in range(n):
+            row[j] = (y & mask) - off
+            y >>= w
     return Matrix._from_grid(d, grid)
 
 

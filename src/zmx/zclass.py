@@ -38,7 +38,7 @@ from typing import Iterator, Optional
 
 from zmx.digraph import digraph_of, is_irreducible
 from zmx.errors import ORDER_CAP, NotZMatrixError, check_order_cap
-from zmx.matrix import Matrix, _principal_minors, det
+from zmx.matrix import Matrix, _is_index, _principal_minors, det
 
 
 def is_z(a: Matrix) -> bool:
@@ -318,8 +318,8 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
     """
     n = b.n
     check_order_cap(n, cap)
-    if not (1 <= r <= n):
-        raise ValueError(f"submatrix order r = {r} outside 1..{n}")
+    if not _is_index(r, n):
+        raise ValueError(f"submatrix order r = {r!r} outside 1..{n}")
     if any(x < 0 for row in b._grid for x in row):
         raise ValueError("matrix must be entrywise nonnegative")
     if isinstance(tol, float):

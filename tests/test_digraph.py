@@ -64,15 +64,22 @@ def test_digraph_validates_edges():
 
 
 def test_vertices_must_be_integers():
-    # vertices are integers, as IndexSet members are: a float in range names none
+    # vertices and orders are integers, as IndexSet's are: a float in range or
+    # a bool names none
     a = mk([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
     d = digraph_of(a)
     calls = [
         lambda: maybee_entry(a, 1, 1.5),
+        lambda: maybee_entry(a, True, 2),
         lambda: enumerate_paths(d, 1, 1.5),
         lambda: enumerate_paths(d, 1, 3.0),
+        lambda: enumerate_paths(d, True, 2),
         lambda: Digraph(3, [(1, 2.5)]),
+        lambda: Digraph(3, [(True, 2)]),
+        lambda: Digraph(2.5, [(1, 2)]),
+        lambda: Digraph(True, []),
         lambda: Path((1, 2.0), 2),
+        lambda: Path((1, 2), 2.5),
     ]
     for call in calls:
         with pytest.raises(ValueError):

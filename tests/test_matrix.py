@@ -2,15 +2,19 @@
 
 The determinant and the inverse share one fraction-free Bareiss elimination
 over a cleared-denominator integer grid; the inverse runs it forward on
-[G | I], reducing only the live right-block columns, and finishes with a
-fraction-free back substitution. Both are checked against slower textbook
-routines written independently in this file (first-row cofactor expansion,
-Gauss-Jordan with fraction pivoting, the adjugate of cofactor determinants),
-against the Gauss-Jordan form of Bareiss's elimination that the inverse used
-before, and against sympy when it is installed. Products, packed and looped, are checked against the
-textbook triple loop.
+[G | I], each row of I packed into one integer of slots wide enough for
+Hadamard's bound, and finishes with a fraction-free back substitution on
+the packed rows. Both are checked against slower textbook routines written
+independently in this file (first-row cofactor expansion, Gauss-Jordan with
+fraction pivoting, the adjugate of cofactor determinants), against the
+Gauss-Jordan form of Bareiss's elimination that the inverse used before, and
+against sympy when it is installed; a white-box test checks the slot bound
+on drawn inputs, and Sylvester Hadamard matrices, which meet Hadamard's
+bound, are golden cases. Products, packed and looped, are checked against
+the textbook triple loop.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -207,19 +211,27 @@ def small_ints(draw, n, lo, hi, nonzero=False):
 
 @st.composite
 def inverse_inputs(draw):
-    """Orders 1-24: dense integer, coprime-denominator, bdsw and tridiagonal
-    inputs; row-shuffled upper triangular ones, whose zero leading entries
-    force row swaps; L*U products whose last pivot alone vanishes; and
-    nonsingular L*U products whose leading k x k minor alone vanishes, which
-    swap rows at step k-1 with nonzero factors and k-1 live right-block
-    columns."""
-    n = draw(st.integers(1, 24))
-    kind = draw(st.sampled_from(("dense", "coprime", "bdsw", "tridiagonal", "swaps", "last-pivot",
-                                 "zero-minor")))
+    """Orders 1-32: dense integer, coprime-denominator, bdsw and tridiagonal
+    inputs; big entries up to 10^30 over small denominators at orders 1-16,
+    whose packed slots are hundreds of bits wide; row-shuffled upper triangular ones,
+    whose zero leading entries force row swaps; L*U products whose last
+    pivot alone vanishes; and nonsingular L*U products whose leading k x k
+    minor alone vanishes, which swap rows at step k-1 with nonzero factors
+    after k-1 packed identity rows have mixed."""
+    n = draw(st.integers(1, 32))
+    kind = draw(st.sampled_from(("dense", "coprime", "big", "bdsw", "tridiagonal", "swaps",
+                                 "last-pivot", "zero-minor")))
     if kind == "zero-minor":
         n = max(n, 3)  # room for 2 <= k < n
     if kind == "dense":
         return Matrix([small_ints(draw, n, -9, 9) for _ in range(n)])
+    if kind == "big":
+        # past 16 the Fraction oracle takes seconds at this width; seeded, as
+        # n^2 entries this wide would overrun hypothesis's buffer
+        n = min(n, 16)
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        return Matrix([[Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.choice((1, 2, 3, 5, 7)))
+                        for _ in range(n)] for _ in range(n)])
     if kind == "coprime":
         return Matrix([[Fraction(p, draw(st.sampled_from((1, 2, 3, 5, 7))))
                         for p in small_ints(draw, n, -9, 9)] for _ in range(n)])
@@ -378,6 +390,51 @@ def test_inverse_matches_gauss_jordan_oracles(a):
     assert (outcomes[0] is None) == (det(a) == 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(inverse_inputs())
+def test_inverse_slots_hold_hadamards_bound(a):
+    # Y = d * A^-1, d the last pivot, is +-L * adj G, and each packed slot
+    # holds an entry of Y plus off, so the slot width rests on |Y| <= off,
+    # Hadamard's bound over the rows of G
+    n, lcm, g = a.n, a._lcm, a._grid
+    off = lcm
+    for row in g:
+        off *= math.isqrt(sum(x * x for x in row)) + 1
+    packed = []
+    real = matrix._bareiss
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_bareiss", lambda m: packed.append([r[n] for r in m]) or real(m))
+        try:
+            b = inverse(a)
+        except SingularMatrixError:
+            return
+    w = packed[0][1].bit_length() - 1 if n > 1 else off.bit_length() + 1  # one slot at n = 1
+    assert packed == [[1 << w * i for i in range(n)]]
+    assert 1 << w > 2 * off
+    dg = abs(det(a)) * lcm ** n  # |d| = |det G|
+    ys = [abs(x) * dg for row in b.rows for x in row]
+    assert all(y.denominator == 1 and y <= off for y in ys)
+
+
+def sylvester(n):
+    """The Sylvester Hadamard matrix of order n, a power of 2: H_1 = [1] and
+    H_2k = [[H_k, H_k], [H_k, -H_k]]."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return Matrix(h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+def test_inverse_of_sylvester_hadamard_matrices(n):
+    # H * H^T = n * I, and H meets Hadamard's bound: det H = +-n^(n/2)
+    h = sylvester(n)
+    assert inverse(h) == h.transpose() * Fraction(1, n)
+    assert abs(det(h)) ** 2 == n ** n
+    # (2/3) * H is the grid 2H over L = 3
+    assert inverse(h * Fraction(2, 3)) == h.transpose() * Fraction(3, 2 * n)
+
+
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 @settings(max_examples=100, deadline=None)
 @given(zero_heavy_pair())
@@ -450,6 +507,10 @@ def test_index_set_validation_and_complement():
         IndexSet(3, (1, 4))
     with pytest.raises(ValueError):
         IndexSet(3, (2, 2))
+    # bases and members are integers: a bool or a float names no index
+    for base, members in ((2.5, (1, 2)), (True, ()), (0, ()), (3, (True, 2)), (3, (1, 2.0))):
+        with pytest.raises(ValueError):
+            IndexSet(base, members)
 
 
 def test_submatrix_and_principal_minor():

@@ -251,10 +251,10 @@ def test_perron_goldens():
 
 def test_perron_validation():
     b = mk([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        perron_r(b, 0)
-    with pytest.raises(ValueError):
-        perron_r(b, 3)
+    # r is an order: a bool or a float is refused as an out-of-range one is
+    for r in (0, 3, 1.5, 2.0, True):
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+            perron_r(b, r)
     with pytest.raises(ValueError):
         perron_r(mk([[-1, 0], [0, 1]]), 1)
     with pytest.raises(TypeError):
