@@ -20,17 +20,12 @@ from typing import Optional, Sequence
 
 from zmx.cyclic import _cycle_grid
 from zmx.errors import ORDER_CAP
-from zmx.matrix import Matrix, _cleared, inverse
+from zmx.matrix import Matrix, _cleared, _exact, _is_index, inverse
 from zmx.zclass import is_z, l_index
 
 
 def _params(seq, name) -> list[Fraction]:
-    out = []
-    for x in seq:
-        if isinstance(x, float):
-            raise TypeError(f"{name} must be exact (int, str or Fraction)")
-        out.append(x if type(x) is Fraction else Fraction(x))
-    return out
+    return [_exact(x, name) for x in seq]
 
 
 def _cycle_params(diag: Sequence, sup: Sequence, corner) -> tuple[list, list]:
@@ -146,8 +141,8 @@ def type_d_verify(a: Sequence, cap: int = ORDER_CAP) -> TypeDVerification:
 
 def shift_matrix(n: int) -> Matrix:
     """Cyclic shift: ones on the super-diagonal and in the (n,1) corner."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    if not _is_index(n, n):
+        raise ValueError(f"order {n!r} is not a positive integer")
     # the circulant of Z itself: alpha_2 = 1, or alpha_1 = 1 when n = 1
     return circulant_pz([int(k == 1 % n) for k in range(n)])
 

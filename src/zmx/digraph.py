@@ -8,9 +8,9 @@ dense worst case is factorial); exceeding the cap raises OrderCapError
 rather than silently grinding. is_unipathic stops at the second path to any
 vertex, so it is polynomial and uncapped; both walks keep an explicit
 stack, not the call stack. maybee_entry does not walk the paths: it sums the path formula
-by vertex set in O(n^2 * 2^n) integer work, its off-path minors read from
-the principal-minor sweep, or eliminated one by one when few sets carry
-paths; _maybee_inverse does so a row at a time.
+by vertex set in O(n^2 * 2^n) integer work, its off-path minors from one
+sweep over their prefixes only, polynomially many for a unipathic (bdsw)
+matrix; _maybee_inverse sums every row, all rows' sets in one sweep.
 """
 
 from __future__ import annotations
@@ -222,13 +222,10 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     The sum runs in integers: with A = G / L for the lcm L of the entry
     denominators, each term is L * G[p] * det G[V(p)] / det G. Paths with
     the same vertex set share their minor, so _path_sums groups the signed
-    products (-1)^l(p) G[p] by vertex set in O(n^2 * 2^n) integer work. The
-    off-path minors are principal minors of G over V - {i, j}, which one
-    principal-minor sweep reads off each other in O(1) integer work apiece;
-    only det G and sets below a zero minor are eliminated from scratch. When
-    fewer than 2^k / k vertex sets carry paths, for the k vertices some path
-    misses (a bdsw entry has one path), each off-path minor is eliminated
-    directly instead of sweeping all 2^k sets.
+    products (-1)^l(p) G[p] by vertex set in O(n^2 * 2^n) integer work. One
+    principal-minor sweep, asked for the off-path sets, visits only their
+    prefixes, each in O(1) integer work (a bdsw entry's one path misses k
+    vertices: k sets); only det G and sets below a zero minor are eliminated.
     """
     n = a.n
     if not (_is_index(i, n) and _is_index(j, n)):
@@ -243,44 +240,36 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     check_order_cap(n, cap)
     sums = {on: ends[j] for on, ends in _path_sums(grid, i, others).items() if ends.get(j)}
     full = (1 << n) - 1
-    # every off-path set lies among the vertices some path misses
-    spare = [k for k in others if any(not on >> k & 1 for on in sums)]
-    if len(sums) * len(spare) < 1 << len(spare):
-        # few path sets (a bdsw entry has one): eliminate each off-path set
-        offs = {full ^ on: [k for k in spare if not on >> k & 1] for on in sums}
-        minors = {off: _bareiss([[grid[r][c] for c in ks] for r in ks]) if ks else 1
-                  for off, ks in offs.items()}
-    else:
-        # the largest off-path set sits off the shortest path
-        top = n - min((on.bit_count() for on in sums), default=n)
-        minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, spare, top)}
+    offs = {full ^ on for on in sums}
+    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, others, offs)}
     return Fraction(lcm * sum(s * minors[full ^ on] for on, s in sums.items()), d_g)
 
 
 def _maybee_inverse(a: Matrix, cap: int = ORDER_CAP) -> Matrix:
     """inverse(a) by the path formula of maybee_entry, one row at a time.
 
-    det G is eliminated once, and one principal-minor sweep over V gives
-    every off-path minor; row i is then one _path_sums from i, each state
-    (vertex mask, endpoint j) adding its sum times det G[V - mask] to entry
-    (i, j). Errors come in maybee_entry's order: SingularMatrixError, then
-    the order cap, which an order-1 matrix (a diagonal only) never meets.
+    det G is eliminated once and row i is one _path_sums from i. One sweep
+    over every row's off-path sets and the sets V - {i} gives the minors;
+    each state (vertex mask, endpoint j) adds its sum times det G[V - mask]
+    to entry (i, j). Errors come in maybee_entry's order: SingularMatrixError,
+    then the order cap, which an order-1 matrix (a diagonal only) never meets.
     """
     n, lcm, grid = a.n, a._lcm, a._grid
     d_g = _det_g(grid)
     if n > 1:
         check_order_cap(n, cap)
     full = (1 << n) - 1
-    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, range(n), n - 1)}
+    sums = [_path_sums(grid, i, [k for k in range(n) if k != i]) for i in range(n)]
+    offs = {full ^ on for i, row in enumerate(sums) for on in (1 << i, *row)}
+    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, range(n), offs)}
     rows = []
-    for i in range(n):
+    for i, row_sums in enumerate(sums):
         row = [0] * n
         row[i] = minors[full ^ 1 << i]
-        for on, ends in _path_sums(grid, i, [k for k in range(n) if k != i]).items():
+        for on, ends in row_sums.items():
             m = minors[full ^ on]
-            if m:
-                for j, s in ends.items():
-                    row[j] += s * m
+            for j, s in ends.items():
+                row[j] += s * m
         rows.append([lcm * x for x in row])
     return Matrix._from_grid(d_g, rows)
 

@@ -35,12 +35,17 @@ Rational = Fraction
 Entry = Union[int, str, Fraction]
 
 
+def _exact(x, name: str) -> Fraction:
+    """x as a Fraction; a float raises TypeError, as nothing built on it is exact."""
+    if isinstance(x, float):
+        raise TypeError(f"{name} must be exact (int, str or Fraction)")
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of an exact entry, in lowest terms."""
     if type(x) is not int and type(x) is not Fraction:
-        if isinstance(x, float):
-            raise TypeError("float entries are not allowed; pass int, str or Fraction")
-        x = Fraction(x)
+        x = _exact(x, "entries")
     return x.numerator, x.denominator
 
 
@@ -102,11 +107,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
+        if not _is_index(n, n):
+            raise ValueError(f"matrix order {n!r} is not a positive integer")
         return cls._from_grid(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, n: int) -> "Matrix":
-        return cls._from_grid(1, [[0] * n for _ in range(n)])
+        return 0 * cls.identity(n)
 
     @property
     def n(self) -> int:
@@ -279,10 +286,13 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * m[-1][n - 1]
 
 
-def _principal_minors(grid, idx, max_order: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
+def _principal_minors(grid, idx, wanted: Optional[Iterable[int]] = None) -> Iterator[tuple[int, int, int]]:
     """Yield (order, mask, det grid[S, S]) for the nonempty subsets S of the
-    0-based index list idx, up to max_order: orders ascending, and within an
-    order the sets in combinations order over idx. Bit k of mask is index k.
+    ascending 0-based index list idx: orders ascending, and within an order
+    the sets in combinations order over idx. Bit k of mask is index k. Given
+    wanted, masks of subsets of idx, only the prefixes (in idx order) of the
+    wanted sets are yielded, as each is read off the one before; idx shrinks
+    to their union.
 
     Each set S keeps its Bareiss-reduced grid over the positions of idx after
     S's last, whose entry (i, j) is det grid[S+i | S+j] by Sylvester's
@@ -292,17 +302,27 @@ def _principal_minors(grid, idx, max_order: Optional[int] = None) -> Iterator[tu
     there are eliminated from scratch. A level's grids are built only once
     the next order is asked for.
     """
-    idx = list(idx)
+    idx, keep = list(idx), None
+    if wanted is not None:
+        # strip each set's top index until a prefix already kept
+        keep, union = set(), 0
+        for mask in wanted:
+            union |= mask
+            while mask and mask not in keep:
+                keep.add(mask)
+                mask ^= 1 << mask.bit_length() - 1
+        idx = [k for k in idx if union >> k & 1]
     n = len(idx)
-    top = n if max_order is None else min(max_order, n)
     # (positions, mask, grid or None, minor) for the sets that have children
     level = [((), 0, [[grid[r][c] for c in idx] for r in idx], 1)]
-    for order in range(1, top + 1):
+    for order in range(1, n + 1):
         grown = []
         for s, mask, m, d in level:
             lo = s[-1] + 1 if s else 0
             for p in range(lo, n):
                 t, tmask = s + (p,), mask | 1 << idx[p]
+                if keep is not None and tmask not in keep:
+                    continue
                 if m is None:
                     ks = [idx[q] for q in t]
                     minor = _bareiss([[grid[r][c] for c in ks] for r in ks])
@@ -311,8 +331,6 @@ def _principal_minors(grid, idx, max_order: Optional[int] = None) -> Iterator[tu
                 yield order, tmask, minor
                 if p + 1 < n:
                     grown.append((t, tmask, m if d else None, d, minor))
-        if order == top:
-            return
         level = []
         for t, tmask, m, d, minor in grown:
             if m is not None:

@@ -29,7 +29,7 @@ from zmx.cyclic import (
 )
 from zmx.digraph import _maybee_inverse, digraph_of, is_irreducible, is_unipathic
 from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
-from zmx.matrix import det, inverse
+from zmx.matrix import _is_index, det, inverse
 from zmx.sampling import (
     _cyclic_pairs,
     _rand_pair,
@@ -313,10 +313,10 @@ def run_verify(theorem: str, n_lo: int, n_hi: int, trials: int, seed: int, *,
     if theorem not in CAMPAIGNS:
         known = ", ".join(sorted(CAMPAIGNS))
         raise ValueError(f"unknown theorem {theorem!r}; known ids: {known}")
-    if n_lo < 1 or n_hi < n_lo:
-        raise ValueError(f"bad order range {n_lo}..{n_hi}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not (_is_index(n_lo, n_hi) and _is_index(n_hi, n_hi)):
+        raise ValueError(f"bad order range {n_lo!r}..{n_hi!r}")
+    if not _is_index(trials, trials):
+        raise ValueError(f"trials {trials!r} is not a positive integer")
     low = _LOWEST_ORDER[theorem]
     if n_hi < low:
         raise ValueError(f"campaign {theorem!r} starts at order {low}; {n_lo}..{n_hi} holds none")

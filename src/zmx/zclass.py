@@ -38,7 +38,7 @@ from typing import Iterator, Optional
 
 from zmx.digraph import digraph_of, is_irreducible
 from zmx.errors import ORDER_CAP, NotZMatrixError, check_order_cap
-from zmx.matrix import Matrix, _is_index, _principal_minors, det
+from zmx.matrix import Matrix, _exact, _is_index, _principal_minors, det
 
 
 def is_z(a: Matrix) -> bool:
@@ -64,9 +64,7 @@ def z_decompose(a: Matrix, t) -> ZRepresentation:
     """
     if not is_z(a):
         raise NotZMatrixError("matrix has a positive off-diagonal entry")
-    if isinstance(t, float):
-        raise TypeError("t must be exact (int, str or Fraction)")
-    t = Fraction(t)
+    t = _exact(t, "t")
     max_diag = max(a.entry(i, i) for i in range(1, a.n + 1))
     if t < max_diag:
         raise ValueError(
@@ -77,13 +75,15 @@ def z_decompose(a: Matrix, t) -> ZRepresentation:
 
 
 def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[int, int]]:
-    """Yield (order, sign) for every principal minor: orders ascending, and
-    within an order the index sets in combinations order.
+    """Yield (order, sign) for every principal minor up to max_order: orders
+    ascending, and within an order the index sets in combinations order.
 
     The signs of matrix._principal_minors on the integer grid G = L*A;
     scaling by the positive integer L never changes a minor's sign.
     """
-    for order, _, minor in _principal_minors(a._grid, range(a.n), max_order):
+    for order, _, minor in _principal_minors(a._grid, range(a.n)):
+        if max_order is not None and order > max_order:
+            return
         yield order, (minor > 0) - (minor < 0)
 
 
@@ -322,9 +322,7 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
         raise ValueError(f"submatrix order r = {r!r} outside 1..{n}")
     if any(x < 0 for row in b._grid for x in row):
         raise ValueError("matrix must be entrywise nonnegative")
-    if isinstance(tol, float):
-        raise TypeError("tol must be exact (int, str or Fraction)")
-    tol = Fraction(tol)
+    tol = _exact(tol, "tol")
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = b._grid

@@ -153,6 +153,9 @@ def test_sign_campaigns_at_large_orders_with_a_raised_cap():
     assert s.checks == 68 and s.failures == []
     s = run_verify("polyn", 16, 32, 17, 4, cap=32)
     assert s.checks == 68 and s.failures == []
+    # maybee's bdsw half sums the path formula over polynomially many minors
+    s = run_verify("maybee", 16, 32, 17, 4, cap=32)
+    assert s.checks == 17 and s.failures == []
 
 
 def test_perron_bisection_bracket_and_band_sweep():

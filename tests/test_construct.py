@@ -219,6 +219,9 @@ def test_shift_matrix_layout():
         assert col == [1 if i == j - 1 else 0 for i in range(1, 5)]
     assert [z.entry(i, 1) for i in range(1, 5)] == [0, 0, 0, 1]
     assert shift_matrix(1) == Matrix.identity(1)
+    for n in (0, 2.0, True):
+        with pytest.raises(ValueError, match="not a positive integer"):
+            shift_matrix(n)
 
 
 def test_circulant_layout_goldens():

@@ -247,15 +247,30 @@ def counted_eliminations(monkeypatch):
     return calls
 
 
-def sweep_fallbacks(grid, idx, top):
-    """How many sets of idx up to order top the minor sweep eliminates from
+def swept_sets(idx, wanted=None):
+    """The index tuples the minor sweep visits: every nonempty subset of idx,
+    or, given wanted, the nonempty prefixes (in idx order) of the wanted sets."""
+    if wanted is None:
+        return {c for k in range(1, len(idx) + 1) for c in combinations(idx, k)}
+    members = [tuple(k for k in idx if mask >> k & 1) for mask in wanted]
+    return {c[:q] for c in members for q in range(1, len(c) + 1)}
+
+
+def sweep_fallbacks(grid, idx, wanted=None):
+    """How many of the sets it visits the minor sweep eliminates from
     scratch: those with a zero minor on a prefix (in idx order) at least two
     shorter, since a set's reduced grid is divided by its parent's minor."""
-    minors = {}
-    for k in range(1, top + 1):
-        for c in combinations(idx, k):
-            minors[c] = _bareiss([[grid[r][q] for q in c] for r in c])
-    return sum(1 for c in minors if any(minors[c[:q]] == 0 for q in range(1, len(c) - 1)))
+    sets = swept_sets(idx, wanted)
+    minors = {c: _bareiss([[grid[r][q] for q in c] for r in c]) for c in sets}
+    return sum(1 for c in sets if any(minors[c[:q]] == 0 for q in range(1, len(c) - 1)))
+
+
+def off_path_sets(a, i, j):
+    """The off-path vertex masks of the paths from v_i to v_j (0-based)."""
+    n = a.n
+    through = [k for k in range(n) if k not in (i, j)]
+    sums = digraph._path_sums(a._grid, i, through)
+    return {(1 << n) - 1 ^ on for on, ends in sums.items() if ends.get(j)}
 
 
 def test_maybee_entry_shares_minors_between_paths(monkeypatch):
@@ -265,7 +280,7 @@ def test_maybee_entry_shares_minors_between_paths(monkeypatch):
         if det(a) != 0:
             break
     want = inverse(a).entry(2, 6)
-    fallbacks = sweep_fallbacks(a._grid, [0, 2, 3, 4, 6], 5)
+    fallbacks = sweep_fallbacks(a._grid, [0, 2, 3, 4, 6], off_path_sets(a, 1, 5))
     calls = counted_eliminations(monkeypatch)
     assert maybee_entry(a, 2, 6) == want
     # det G, then the one sweep over the five vertices other than the
@@ -298,7 +313,9 @@ def test_maybee_inverse_eliminates_the_full_grid_once(monkeypatch, kind):
             a = mk([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
             if det(a) == 0:
                 continue
-        cases.append((a, inverse(a), sweep_fallbacks(a._grid, range(n), n - 1)))
+        sums = [digraph._path_sums(a._grid, i, [k for k in range(n) if k != i]) for i in range(n)]
+        offs = {(1 << n) - 1 ^ on for i, row in enumerate(sums) for on in (1 << i, *row)}
+        cases.append((a, inverse(a), sweep_fallbacks(a._grid, range(n), offs)))
     calls = counted_eliminations(monkeypatch)
     for a, inv, fallbacks in cases:
         calls.clear()
@@ -306,6 +323,18 @@ def test_maybee_inverse_eliminates_the_full_grid_once(monkeypatch, kind):
         # det G once; every other elimination is a sweep fallback below order n
         assert calls.count(a.n) == 1
         assert len(calls) == 1 + fallbacks
+
+
+def test_maybee_inverse_of_a_bdsw_matrix_sweeps_polynomially_many_sets(monkeypatch):
+    # row i's off-path sets are the cyclic arcs missing v_i, whose prefixes
+    # number (n^3 + 5n) / 6 - 1 in all, against 2^n - 2 for the whole sweep
+    rng = random.Random("maybee-inverse-bdsw-count")
+    cases = [(a, inverse(a)) for a in (random_bdsw(rng, n) for n in range(8, 33))]
+    sweeps = counted_sweeps(monkeypatch)
+    for a, inv in cases:
+        sweeps.clear()
+        assert digraph._maybee_inverse(a, cap=32) == inv
+        assert sweeps == [[list(range(a.n)), (a.n ** 3 + 5 * a.n) // 6 - 1]]
 
 
 def test_maybee_inverse_fails_as_maybee_entry_does():
@@ -352,15 +381,18 @@ def test_path_sums_group_the_listed_paths_by_vertex_set(a):
 @settings(max_examples=150, deadline=None)
 @given(zero_heavy(), st.data())
 def test_minor_sweep_yields_every_principal_minor_of_an_index_list(a, data):
+    # every subset without wanted, else exactly the prefixes of the wanted
+    # sets, in the same order
     n, lcm = a.n, a._lcm
     idx = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    masks = [sum(1 << c for c in s) for k in range(len(idx) + 1) for s in combinations(idx, k)]
+    wanted = data.draw(st.one_of(st.none(), st.just([]), st.lists(st.sampled_from(masks))))
+    sets = swept_sets(idx, wanted)
     want = [
         (k, sum(1 << c for c in s), principal_minor(a, [c + 1 for c in s]) * lcm ** k)
-        for k in range(1, len(idx) + 1) for s in combinations(idx, k)
+        for k in range(1, len(idx) + 1) for s in combinations(idx, k) if s in sets
     ]
-    for max_order in (None, *range(len(idx) + 2)):
-        top = len(idx) if max_order is None else max_order
-        assert list(_principal_minors(a._grid, idx, max_order)) == [w for w in want if w[0] <= top]
+    assert list(_principal_minors(a._grid, idx, wanted)) == want
 
 
 def test_maybee_entry_at_the_cap_order(monkeypatch):
@@ -371,7 +403,7 @@ def test_maybee_entry_at_the_cap_order(monkeypatch):
                            [(-1) ** k * (1 + k % 2) for k in range(n - 1)], 3)
     assert all(all(row) for row in a._grid)
     want = inverse(a).entry(3, 9)
-    fallbacks = sweep_fallbacks(a._grid, [k for k in range(n) if k not in (2, 8)], n - 2)
+    fallbacks = sweep_fallbacks(a._grid, [k for k in range(n) if k not in (2, 8)], off_path_sets(a, 2, 8))
     calls = counted_eliminations(monkeypatch)
     assert maybee_entry(a, 3, 9) == want
     assert calls[0] == n
@@ -379,30 +411,38 @@ def test_maybee_entry_at_the_cap_order(monkeypatch):
 
 
 def counted_sweeps(monkeypatch):
+    """Record the index list and the number of sets visited of every sweep."""
     calls = []
 
-    def counted(grid, idx, max_order=None):
-        calls.append(list(idx))
-        return _principal_minors(grid, idx, max_order)
+    def counted(grid, idx, wanted=None):
+        calls.append([list(idx), 0])
+        for item in _principal_minors(grid, idx, wanted):
+            calls[-1][1] += 1
+            yield item
 
     monkeypatch.setattr(digraph, "_principal_minors", counted)
     return calls
 
 
-def test_maybee_entry_eliminates_each_path_set_when_there_are_few(monkeypatch):
-    # a bdsw entry has one path, so the off-path set is one of 2^10 subsets
+def test_maybee_entry_sweeps_only_the_prefixes_of_a_bdsw_path_set(monkeypatch):
+    # a bdsw entry has one path, so the sweep visits the prefixes of its
+    # off-path set: at most n - 2 of the 2^10 subsets
     n = 12
     a = random_bdsw(random.Random("maybee-sparse"), n)
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     want = inverse(a)
+    fallbacks = {(i, j): sweep_fallbacks(a._grid, [k for k in range(n) if k not in (i - 1, j - 1)],
+                                         off_path_sets(a, i - 1, j - 1)) for i, j in cells}
     sweeps = counted_sweeps(monkeypatch)
     calls = counted_eliminations(monkeypatch)
     for i, j in cells:
         calls.clear()
+        sweeps.clear()
         assert maybee_entry(a, i, j) == want.entry(i, j)
-        # det G, then at most one elimination of the vertices off the path
-        assert calls[0] == n and len(calls) <= 2
-    assert sweeps == []
+        (off,) = off_path_sets(a, i - 1, j - 1)
+        # one sweep over the path set's prefixes; det G and the fallbacks
+        assert len(sweeps) == 1 and sweeps[0][1] == off.bit_count() <= n - 2
+        assert calls[0] == n and len(calls) == 1 + fallbacks[i, j]
 
 
 def test_maybee_entry_sweeps_a_dense_entry(monkeypatch):
@@ -410,7 +450,7 @@ def test_maybee_entry_sweeps_a_dense_entry(monkeypatch):
     want = inverse(a).entry(2, 6)
     sweeps = counted_sweeps(monkeypatch)
     assert maybee_entry(a, 2, 6) == want
-    assert sweeps == [[0, 2, 3, 4, 6]]
+    assert sweeps == [[[0, 2, 3, 4, 6], len(swept_sets([0, 2, 3, 4, 6], off_path_sets(a, 1, 5)))]]
 
 
 @st.composite
@@ -421,7 +461,7 @@ def bdsw(draw):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(zero_heavy(), bdsw()), st.data())
 def test_maybee_entry_matches_inverse_on_sparse_and_dense_inputs(a, data):
-    # either branch: the sweep or one elimination per path set
+    # one path per entry (bdsw) or many (dense)
     assume(det(a) != 0)
     inv = inverse(a)
     cell = st.integers(1, a.n)

@@ -285,6 +285,16 @@ def test_constructor_validates_shape():
         Matrix([])
 
 
+def test_identity_and_zeros_refuse_what_is_not_an_order():
+    # an order-0 matrix is no matrix, as the constructor says
+    for n in (0, -2, 2.0, True):
+        for build in (Matrix.identity, Matrix.zeros):
+            with pytest.raises(ValueError, match="not a positive integer"):
+                build(n)
+    assert Matrix.zeros(2) == mk([[0, 0], [0, 0]])
+    assert Matrix.identity(2) == mk([[1, 0], [0, 1]])
+
+
 def test_matrix_is_immutable_value_type():
     a = mk([[1, 2], [3, 4]])
     b = mk([[1, 2], [3, 4]])

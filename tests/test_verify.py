@@ -37,6 +37,10 @@ def test_argument_validation():
         run_verify("det-formula", 0, 4, 5, 0)  # orders start at 1
     with pytest.raises(ValueError):
         run_verify("det-formula", 2, 4, 0, 0)  # no trials
+    # orders and trials are integers, not floats or bools
+    for lo, hi, trials in ((3, 3.5, 1), (3.0, 4, 1), (True, 3, 1), (3, 4, 1.0), (3, 4, True)):
+        with pytest.raises(ValueError):
+            run_verify("polyn", lo, hi, trials, 0)
 
 
 def test_summary_fields_and_determinism():
