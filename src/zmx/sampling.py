@@ -103,8 +103,8 @@ def random_type_d_params(rng, n, pattern=None):
     """Strictly increasing parameters with a_1 != 0.
 
     pattern selects the targeted sign layouts: "all_negative" (a_n < 0),
-    "top_zero" (a_n = 0), "second_zero" (a_(n-1) = 0 < a_n). Default draws a
-    window anywhere across zero.
+    "top_zero" (a_n = 0), "second_zero" (a_(n-1) = 0 < a_n). Default draws
+    from -8..8, or from -n..n above order 17, where -8..8 runs out.
     """
     if pattern == "all_negative":
         vals = sorted(rng.sample(range(-n - 7, 0), n))
@@ -113,8 +113,9 @@ def random_type_d_params(rng, n, pattern=None):
     elif pattern == "second_zero":
         vals = sorted(rng.sample(range(-n - 7, 0), n - 2)) + [0, rng.randint(1, 4)]
     else:
+        w = 8 if n <= 17 else n
         while True:
-            vals = sorted(rng.sample(range(-8, 9), n))
+            vals = sorted(rng.sample(range(-w, w + 1), n))
             if vals[0] != 0:
                 break
     return [Fraction(v) for v in vals]

@@ -24,9 +24,9 @@ minor off its parent set's Bareiss-reduced grid in O(1) integer work, and is
 the tests' oracle. perron_r, capped too, pins the band thresholds: the
 largest spectral radius over order-r principal submatrices of a nonnegative
 B, to a rational tolerance, by bisection on "tI - Bhat is weakly M iff
-t >= rho(Bhat)". A submatrix's bisection ends on a known grid point, so one
-test at the grid point just below the best value so far decides whether
-bisecting it could raise that value; the result is the same rational.
+t >= rho(Bhat)": one integer bisection per submatrix over a dyadic grid,
+whose first test, at the grid point just below the best value so far,
+decides whether that submatrix could raise it.
 """
 
 from __future__ import annotations
@@ -280,41 +280,15 @@ def classify(a: Matrix, cap: int = ORDER_CAP) -> ClassReport:
     )
 
 
-def _is_weak_m_shift(bhat: Matrix, t: Fraction) -> bool:
-    # with t = p/q and bhat = G/L, tI - bhat = (pL*I - qG) / (qL), a Z-matrix
-    # for any nonnegative bhat; the positive qL keeps its minor signs
-    pl, q = t.numerator * bhat._lcm, t.denominator
-    grid = [[pl * (i == j) - q * x for j, x in enumerate(row)] for i, row in enumerate(bhat._grid)]
-    return _weak_m(grid)[0]
-
-
-def _rho_bisect(bhat: Matrix, tol: Fraction) -> Fraction:
-    """Spectral radius of the nonnegative matrix bhat, to within tol above.
-
-    Uses the monotone exact test rho(bhat) <= t iff tI - bhat has all
-    principal minors >= 0; brackets with [0, max row sum].
-    """
-    lo = Fraction(0)
-    if _is_weak_m_shift(bhat, lo):
-        return lo
-    hi = Fraction(max(map(sum, bhat._grid)), bhat._lcm)
-    while hi - lo >= tol:
-        mid = (lo + hi) / 2
-        if _is_weak_m_shift(bhat, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) -> Fraction:
     """Largest spectral radius over the order-r principal submatrices of b.
 
     b must be entrywise nonnegative and 1 <= r <= n. The returned rational v
     sits within tol above the true maximum: rho <= v < rho + tol, certified
-    by minor signs alone, no eigenvalue computation. It is exactly the
-    largest _rho_bisect value over the submatrices; a submatrix whose value
-    cannot exceed the best so far is skipped after at most one minor test.
+    by minor signs alone, no eigenvalue computation. Each submatrix is one
+    integer bisection to the least point >= rho of its grid h * k / 2^K, h
+    its largest row sum and K the first level with h / 2^K < tol; its first
+    test decides whether that point can beat the best value so far.
     """
     n = b.n
     check_order_cap(n, cap)
@@ -325,20 +299,33 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
     tol = _exact(tol, "tol")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    g = b._grid
-    best = Fraction(0)
+    g, lcm = b._grid, b._lcm
+    p, q = 0, 1  # the best value so far, p / q
     for combo in combinations(range(n), r):
-        sub = Matrix._from_grid(b._lcm, [[g[i][j] for j in combo] for i in combo])
-        if best:
-            # _rho_bisect(sub, tol) ends on the smallest point >= rho of the
-            # grid h * k / 2^K, K the first level with h / 2^K < tol, so it
-            # cannot beat best when rho is at most the largest grid point
-            # <= best; at best = 0 that test is the bisection's own first
-            h = Fraction(max(map(sum, sub._grid)), sub._lcm)
-            if h <= best:
-                continue
-            step = h / 2 ** (h // tol).bit_length()
-            if _is_weak_m_shift(sub, best // step * step):
-                continue
-        best = max(best, _rho_bisect(sub, tol))
-    return best
+        sub = [[g[i][j] for j in combo] for i in combo]
+        s = max(map(sum, sub))  # h = s / L
+        if s * q <= p * lcm:
+            continue
+        depth = (s * tol.denominator // (lcm * tol.numerator)).bit_length()  # K
+        neg = [[-x << depth for x in row] for row in sub]
+
+        def weak(k):
+            # tI - sub at t = h * k / 2^K, scaled by L * 2^K: s*k*I - 2^K * G
+            m = [row[:] for row in neg]
+            for i, row in enumerate(m):
+                row[i] += s * k
+            return _weak_m(m)[0]
+
+        # h >= rho, so the top point passes; the first test, at the largest
+        # point <= best, passes exactly when this submatrix cannot win
+        lo, hi = (p * lcm << depth) // (q * s), 1 << depth
+        if weak(lo):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if weak(mid):
+                hi = mid
+            else:
+                lo = mid
+        p, q = s * hi, lcm << depth
+    return Fraction(p, q)

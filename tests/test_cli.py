@@ -322,6 +322,10 @@ def test_gen_usage_errors_exit_2(capsys):
         main(["gen", "typed"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["gen", "circulant"])
+    assert exc.value.code == 2
+    assert "gen circulant requires --alpha" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
         main(["gen", "bdsw", "--diag=1,2"])
     assert exc.value.code == 2
     # bad rational literal inside a parameter list is caught, not a crash
@@ -341,6 +345,26 @@ def test_verify_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "det-formula", "--n", "5..2"])
     assert exc.value.code == 2
+
+    # a single order is the range LO..LO
+    assert main(["verify", "--theorem", "det-formula", "--n", "5", "--trials", "2"]) == 0
+    assert "orders: 5..5" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "det-formula", "--n", "x"])
+    assert exc.value.code == 2
+    assert "bad range 'x'" in capsys.readouterr().err
+
+
+def test_verify_lists_twenty_failures_then_counts_the_rest(capsys, monkeypatch):
+    def failing(lo, hi, trials, seed, cap):
+        return ((f"check trial={t}", False) for t in range(trials))
+
+    monkeypatch.setitem(zmx.verify.CAMPAIGNS, "det-formula", failing)
+    assert main(["verify", "--theorem", "det-formula", "--n", "2", "--trials", "25"]) == 1
+    out = capsys.readouterr().out
+    assert "failures: 25" in out
+    assert "  check trial=19\n" in out and "check trial=20" not in out
+    assert out.endswith("  ... and 5 more\n")
 
 
 # the lowest order each campaign's theorem covers

@@ -69,6 +69,8 @@ def test_type_d_requires_strict_increase():
     with pytest.raises(ValueError):
         type_d([2, 1])
     type_d([5])  # single parameter is vacuously increasing
+    with pytest.raises(ValueError, match="at least one parameter"):
+        type_d([])
 
 
 def test_type_d_verify_goldens():
@@ -226,6 +228,8 @@ def test_shift_matrix_layout():
 
 def test_circulant_layout_goldens():
     assert circulant_pz([1, 0, 0]) == Matrix.identity(3)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        circulant_pz([])
     assert circulant_pz([-1, -2, -4]) == mk([
         [-1, -2, -4],
         [-4, -1, -2],

@@ -276,6 +276,8 @@ def test_floats_are_rejected():
         Matrix([[0.5, 1], [1, 1]])
     with pytest.raises(TypeError):
         mk([[1, 2], [3, 4]]) * 0.5
+    with pytest.raises(TypeError):
+        1.5 * mk([[1, 2], [3, 4]])
 
 
 def test_constructor_validates_shape():
@@ -314,11 +316,15 @@ def test_arithmetic_and_identity():
     assert (a - a) == Matrix.zeros(2)
     assert 2 * a == a + a
     assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
+    with pytest.raises(TypeError):
+        a + 1  # a shift is spelled a + t * Matrix.identity(n)
 
 
 def test_mul_requires_matching_order():
     with pytest.raises(ValueError):
         mk([[1, 2], [3, 4]]) * Matrix.identity(3)
+    with pytest.raises(ValueError, match="orders differ"):
+        mk([[1, 2], [3, 4]]) + Matrix.identity(3)
 
 
 def test_det_identity_is_one():
@@ -532,6 +538,8 @@ def test_submatrix_and_principal_minor():
     assert submatrix(d4, [1, 3], [2, 4]) == mk([[1, 1], [2, 3]])
     with pytest.raises(ValueError):
         submatrix(d4, [1, 2], [1])
+    with pytest.raises(ValueError, match="nonempty"):
+        submatrix(d4, [], [])
     # a float index is rejected as an out-of-range one is
     with pytest.raises(ValueError):
         submatrix(d4, [1.0, 2], [1, 2])
@@ -539,6 +547,10 @@ def test_submatrix_and_principal_minor():
         principal_minor(d4, [1, 2.5])
     with pytest.raises(ValueError):
         complementary_minor_check(d4, [1.0], [1])
+    with pytest.raises(ValueError, match="nonempty"):
+        complementary_minor_check(d4, [], [])
+    with pytest.raises(ValueError, match="equal size"):
+        complementary_minor_check(d4, [1, 2], [1])
 
 
 def test_complementary_minor_golden_cases():

@@ -125,3 +125,26 @@ def test_pair_samplers_replay_the_fraction_draws(name):
         for n in range(1, 8):
             key = f"{name}|{seed}|{n}"
             assert outcome(new, random.Random(key), n) == outcome(old, random.Random(key), n), key
+
+
+def old_random_type_d_params(rng, n):
+    # the default draw as it was, from -8..8 at every order
+    while True:
+        vals = sorted(rng.sample(range(-8, 9), n))
+        if vals[0] != 0:
+            return [Fraction(v) for v in vals]
+
+
+def test_type_d_default_draws_keep_their_values_up_to_order_17():
+    for seed in range(40):
+        for n in range(1, 18):
+            key = f"type-d|{seed}|{n}"
+            assert (outcome(sampling.random_type_d_params, random.Random(key), n)
+                    == outcome(old_random_type_d_params, random.Random(key), n)), key
+
+
+def test_type_d_default_draws_above_order_17():
+    for n in range(18, 65):
+        vals = sampling.random_type_d_params(random.Random(n), n)
+        assert len(vals) == n and vals[0] != 0
+        assert all(a < b for a, b in zip(vals, vals[1:]))

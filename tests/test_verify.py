@@ -8,7 +8,7 @@ import inspect
 
 import pytest
 
-from zmx import CAMPAIGNS, ORDER_CAP, cyclic, matrix, run_verify, verify, zclass
+from zmx import CAMPAIGNS, ORDER_CAP, circulant_pz, cyclic, matrix, run_verify, verify, zclass
 
 
 def test_known_campaign_ids():
@@ -70,6 +70,19 @@ def test_every_campaign_runs_clean_above_the_default_cap_when_raised(theorem):
     n = ORDER_CAP + 1
     s = run_verify(theorem, n, n, 5, 5, cap=n)  # five trials reach every type-d pattern
     assert s.ok and s.checks > 0
+
+
+@pytest.mark.parametrize("theorem", ["type-d", "zclass-oracles"])
+def test_type_d_draws_reach_past_order_17(theorem):
+    # the default type-D window, -8..8, holds 17 values; above that it widens
+    s = run_verify(theorem, 18, 18, 1, 0, cap=40)
+    assert s.ok and s.checks > 0
+
+
+def test_circulant_inverse_conformance_is_false_when_singular():
+    # J is a circulant that meets no mode, since it has no inverse
+    for mode in ("nonneg", "nonpos"):
+        assert not verify._circulant_inverse_conforms(circulant_pz([1, 1, 1]), mode)
 
 
 def test_cycle_matrix_campaign_inverts_each_drawn_matrix_once(monkeypatch):
