@@ -23,10 +23,10 @@ its signs, which alone meets the order cap (OrderCapError). It reads each
 minor off its parent set's Bareiss-reduced grid in O(1) integer work, and is
 the tests' oracle. perron_r, capped too, pins the band thresholds: the
 largest spectral radius over order-r principal submatrices of a nonnegative
-B, to a rational tolerance, by bisection on "tI - Bhat is weakly M iff
-t >= rho(Bhat)": one integer bisection per submatrix over a dyadic grid,
-whose first test, at the grid point just below the best value so far,
-decides whether that submatrix could raise it.
+B, to a rational tolerance, on "tI - Bhat is weakly M iff t >= rho(Bhat)":
+per submatrix, largest row sum first, Newton steps from above on its integer
+characteristic polynomial narrow a bracket on a dyadic grid, and bisection
+on that weak-M test closes and certifies it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterator, Optional
 
 from zmx.digraph import digraph_of, is_irreducible
@@ -280,18 +281,35 @@ def classify(a: Matrix, cap: int = ORDER_CAP) -> ClassReport:
     )
 
 
+def _charpoly(g) -> list[int]:
+    """Coefficients [1, c_1, ..., c_r] of det(xI - g) = sum c_i x^(r-i) for an
+    r x r integer grid: Faddeev-LeVerrier, M_k = g M_(k-1) + c_(k-1) I and
+    c_k = -tr(g M_k) / k, whose divisions are exact on integers."""
+    r, coef = len(g), [1]
+    gm = [[0] * r for _ in range(r)]  # g M_0
+    for k in range(1, r + 1):
+        for i in range(r):
+            gm[i][i] += coef[-1]
+        cols = list(zip(*gm))
+        gm = [[sum(map(mul, row, col)) for col in cols] for row in g]
+        coef.append(-sum(gm[i][i] for i in range(r)) // k)
+    return coef
+
+
 def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) -> Fraction:
     """Largest spectral radius over the order-r principal submatrices of b.
 
     b must be entrywise nonnegative and 1 <= r <= n. The returned rational v
     sits within tol above the true maximum: rho <= v < rho + tol, certified
-    by minor signs alone, no eigenvalue computation. Each submatrix is one
-    integer bisection to the least point >= rho of its grid h * k / 2^K, h
-    its largest row sum and K the first level with h / 2^K < tol; its first
-    test decides whether that point can beat the best value so far.
+    by minor signs alone, no eigenvalue computation. A submatrix's value is
+    the least point >= rho of its grid h * k / 2^K, h its largest row sum and
+    K the first level with h / 2^K < tol. Largest h first, a weak-M test
+    decides whether it can beat the best so far; Newton steps from above on
+    its characteristic polynomial, increasing and convex right of rho
+    (Gauss-Lucas), narrow the bracket, and bisection on weak-M tests closes
+    and certifies it.
     """
     n = b.n
-    check_order_cap(n, cap)
     if not _is_index(r, n):
         raise ValueError(f"submatrix order r = {r!r} outside 1..{n}")
     if any(x < 0 for row in b._grid for x in row):
@@ -299,13 +317,13 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
     tol = _exact(tol, "tol")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    check_order_cap(n, cap)
     g, lcm = b._grid, b._lcm
+    subs = ([[g[i][j] for j in combo] for i in combo] for combo in combinations(range(n), r))
     p, q = 0, 1  # the best value so far, p / q
-    for combo in combinations(range(n), r):
-        sub = [[g[i][j] for j in combo] for i in combo]
-        s = max(map(sum, sub))  # h = s / L
-        if s * q <= p * lcm:
-            continue
+    for s, sub in sorted(((max(map(sum, sub)), sub) for sub in subs), key=lambda x: -x[0]):
+        if s * q <= p * lcm:  # h = s / L, and no later h is larger
+            break
         depth = (s * tol.denominator // (lcm * tol.numerator)).bit_length()  # K
         neg = [[-x << depth for x in row] for row in sub]
 
@@ -321,11 +339,24 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
         lo, hi = (p * lcm << depth) // (q * s), 1 << depth
         if weak(lo):
             continue
+        # Newton on f(y) = det(yI - 2^K G) from y = s * hi >= 2^K rho lands in
+        # [2^K rho, y); its coefficients are G's scaled by powers of 2^K
+        coef = [c << depth * i for i, c in enumerate(_charpoly(sub))]
+        while True:
+            y, f, df = s * hi, 0, 0
+            for c in coef:
+                f, df = f * y + c, df * y + f
+            # the step ceil((y f' - f) / (s f')), taken while it lands in (lo, hi)
+            if not (f and df > 0 and lo < (step := -((f - y * df) // (s * df))) < hi):
+                break
+            hi = step
+        if not weak(hi):
+            hi = 1 << depth
+        # probe hi - 1, hi - 2, hi - 4, ... until one fails, then halve: a simple
+        # root fails the first; Newton stops a few points above a repeated one
+        d = 1
         while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if weak(mid):
-                hi = mid
-            else:
-                lo = mid
+            mid = max(hi - d, (lo + hi) // 2)
+            lo, hi, d = (lo, mid, 2 * d) if weak(mid) else (mid, hi, d)
         p, q = s * hi, lcm << depth
     return Fraction(p, q)

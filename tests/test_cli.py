@@ -262,6 +262,21 @@ def test_invert_by_maybee_fails_at_order_13(tmp_path):
                " raise the cap explicitly to proceed\n")
 
 
+def test_perron_input_errors_exit_2_above_the_cap(tmp_path):
+    # bad input is reported before the order cap, as invert --method maybee does
+    n = ORDER_CAP + 1
+    ident = write(tmp_path, "i.txt", serialize_matrix(Matrix.identity(n)))
+    neg = write(tmp_path, "n.txt", serialize_matrix(-Matrix.identity(n)))
+    for argv, err in ((["--r", "0", ident], f"submatrix order r = 0 outside 1..{n}"),
+                      (["--r", str(n + 1), ident], f"submatrix order r = {n + 1} outside 1..{n}"),
+                      (["--r", "1", "--tol", "0", ident], "tol must be positive"),
+                      (["--r", "1", neg], "matrix must be entrywise nonnegative")):
+        assert run_main(["perron"] + argv) == (2, "", f"error: {err}\n")
+    assert run_main(["perron", "--r", "1", ident]) == (
+        1, "", f"error: order {n} exceeds the enumeration cap {ORDER_CAP};"
+               " raise the cap explicitly to proceed\n")
+
+
 def test_parse_and_io_failures_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "2\n1 2\n3 x\n")
     assert main(["classify", bad]) == 2

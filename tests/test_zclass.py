@@ -234,6 +234,7 @@ def test_order_cap_enforced():
 
 
 TOL = Fraction(1, 10**9)
+TOL60 = Fraction(1, 10**60)
 
 
 def test_perron_goldens():
@@ -261,6 +262,18 @@ def test_perron_validation():
         perron_r(b, 1, 1e-9)
     with pytest.raises(ValueError):
         perron_r(b, 1, Fraction(0))
+    # input errors come before the order cap, as in maybee_entry
+    n = ORDER_CAP + 1
+    big = Matrix.identity(n)
+    neg = -big
+    for call, message in ((lambda: perron_r(big, 0), "outside"),
+                          (lambda: perron_r(big, n + 1), "outside"),
+                          (lambda: perron_r(big, 1, Fraction(0)), "positive"),
+                          (lambda: perron_r(neg, 1), "nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(TypeError):
+        perron_r(big, 1, 1e-9)
 
 
 def sub_of(b, combo):
@@ -296,6 +309,31 @@ def nonneg_case(draw):
     return b, draw(st.integers(1, n)), tol
 
 
+@st.composite
+def repeated_root_case(draw):
+    """Matrices whose submatrices hold repeated Perron roots, where Newton
+    converges slowly: copies of one block down the diagonal, scaled
+    permutation matrices, diagonal and zero matrices."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 1, 2, 3))
+    kind = draw(st.sampled_from(("blocks", "permutation", "diagonal", "zero")))
+    if kind == "blocks":
+        k = draw(st.integers(1, max(1, n // 2)))
+        block = [[draw(entry) for _ in range(k)] for _ in range(k)]
+        rows = [[block[i % k][j % k] if i // k == j // k < n // k else 0 for j in range(n)]
+                for i in range(n)]
+    elif kind == "permutation":
+        perm, c = draw(st.permutations(range(n))), draw(st.integers(1, 3))
+        rows = [[c * (perm[i] == j) for j in range(n)] for i in range(n)]
+    elif kind == "diagonal":
+        rows = [[draw(entry) if i == j else 0 for j in range(n)] for i in range(n)]
+    else:
+        rows = [[0] * n for _ in range(n)]
+    tol = draw(st.sampled_from((Fraction(1, 10**60), Fraction(1, 10**9), Fraction(1, 7),
+                                Fraction(5))))
+    return mk(rows), draw(st.integers(1, n)), tol
+
+
 # two order-2 blocks of spectral radius 2: [[0, 2], [2, 0]] has max row sum 2,
 # [[1, 2], [1, 0]] has 3, so their bisection grids differ, in either order
 EQUAL_ROOTS = mk([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 1, 2], [0, 0, 1, 0]])
@@ -320,6 +358,37 @@ def test_perron_r_is_the_largest_bisected_root(case):
     assert perron_r(b, r, tol) == want
 
 
+# two copies of [[0, 2], [1, 3]], radius (3 + sqrt 17) / 2: a double root
+DOUBLE_ROOT = mk([[0, 2, 0, 0], [1, 3, 0, 0], [0, 0, 0, 2], [0, 0, 1, 3]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_root_case())
+@example((DOUBLE_ROOT, 4, TOL60))
+@example((DOUBLE_ROOT, 2, TOL60))
+@example((mk([[0, 1, 2], [3, 0, 1], [1, 1, 0]]), 3, TOL60))  # a simple irrational root
+@example((mk([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), 3, TOL60))  # a triple root, rho = h
+@example((mk([[0, 3, 0], [0, 0, 3], [3, 0, 0]]), 2, TOL60))  # nilpotent submatrices
+@example((DOUBLE_ROOT, 4, Fraction(5)))  # tol > h, so K = 0
+@example((mk([[0, 1], [1, 0]]), 2, Fraction(3)))  # K = 0 at rho = h
+def test_perron_r_on_repeated_roots(case):
+    b, r, tol = case
+    want = max(rho_bisect(sub_of(b, c), tol) for c in combinations(range(b.n), r))
+    assert perron_r(b, r, tol) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_charpoly_is_det_of_x_minus_the_grid(g):
+    r = len(g)
+    coef = zclass._charpoly(g)
+    assert len(coef) == r + 1 and coef[0] == 1
+    for x in range(r + 1):
+        want = det_of(mk([[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(g)]))
+        assert sum(c * x ** (r - i) for i, c in enumerate(coef)) == want
+
+
 def test_perron_r_bisects_only_a_subset_that_can_win(monkeypatch):
     calls = []
     weak_m = zclass._weak_m
@@ -334,15 +403,26 @@ def test_perron_r_bisects_only_a_subset_that_can_win(monkeypatch):
     n, r = 5, 3
     b = mk([[0 if i == j else 3 if max(i, j) < 3 else 10 if i < j else 0
              for j in range(n)] for i in range(n)])
-    one = perron_r(sub_of(b, range(r)), r, TOL)
-    # alone it tests t = 0, then once per level of its grid of 2^K points
-    assert len(calls) == 1 + (6 // TOL).bit_length() == 34
-    calls.clear()
-    # first among the subsets, it is bisected as alone; every later subset
-    # fails to beat it at its first test
-    assert perron_r(b, r, TOL) == one
-    assert len(calls) == 34 + comb(n, r) - 1 == 43
-    assert calls == [r] * 43
+    # alone it tests t = 0, then Newton's point (the top one, as rho = h) and
+    # the point below it, whatever the tolerance
+    for tol in (TOL, TOL60):
+        assert perron_r(sub_of(b, range(r)), r, tol) == 6
+        assert len(calls) == 3
+        calls.clear()
+    # largest row sum first: the three nilpotent subsets with row sum 20 pass
+    # their first test at t = 0; {1, 2, 4}, radius 3 and row sum 13, takes
+    # three tests and the other five with row sum 13 fail to beat it at their
+    # first; {1, 2, 3} takes three tests and wins
+    for tol in (TOL, TOL60):
+        assert perron_r(b, r, tol) == 6
+        assert calls == [r] * (3 + 3 + 5 + 3)
+        calls.clear()
+    # at a double root Newton stops a few points above it, and the probes
+    # below step down by 1, 2, 4, ... before they halve: five tests in all
+    for tol in (TOL, TOL60):
+        perron_r(DOUBLE_ROOT, 4, tol)
+        assert calls == [4] * 5
+        calls.clear()
 
 
 def test_classify_identity():
