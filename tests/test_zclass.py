@@ -341,8 +341,12 @@ EQUAL_ROOTS_SWAPPED = mk([[1, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]
 TWIN_BLOCKS = mk([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
 
 
-@settings(max_examples=150, deadline=None)
-@given(nonneg_case())
+# two copies of [[0, 2], [1, 3]], radius (3 + sqrt 17) / 2: a double root
+DOUBLE_ROOT = mk([[0, 2, 0, 0], [1, 3, 0, 0], [0, 0, 0, 2], [0, 0, 1, 3]])
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(nonneg_case(), repeated_root_case()))
 @example((EQUAL_ROOTS, 2, Fraction(1, 10**6)))
 @example((EQUAL_ROOTS_SWAPPED, 2, Fraction(3, 7)))
 @example((TWIN_BLOCKS, 2, Fraction(1, 10)))
@@ -352,26 +356,13 @@ TWIN_BLOCKS = mk([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
 @example((mk([[1, 1], [0, 0]]), 2, TOL))  # rho = h / 2: tI - B singular M at t = rho
 @example((mk([[0, 1, 2], [3, 0, 1], [1, 1, 0]]), 2, Fraction(1, 10**30)))
 @example((mk([[1, 2, 0], [0, 1, 5], [3, 0, 2]]), 3, Fraction(1, 10**6)))  # r = n
-def test_perron_r_is_the_largest_bisected_root(case):
-    b, r, tol = case
-    want = max(rho_bisect(sub_of(b, c), tol) for c in combinations(range(b.n), r))
-    assert perron_r(b, r, tol) == want
-
-
-# two copies of [[0, 2], [1, 3]], radius (3 + sqrt 17) / 2: a double root
-DOUBLE_ROOT = mk([[0, 2, 0, 0], [1, 3, 0, 0], [0, 0, 0, 2], [0, 0, 1, 3]])
-
-
-@settings(max_examples=100, deadline=None)
-@given(repeated_root_case())
 @example((DOUBLE_ROOT, 4, TOL60))
 @example((DOUBLE_ROOT, 2, TOL60))
 @example((mk([[0, 1, 2], [3, 0, 1], [1, 1, 0]]), 3, TOL60))  # a simple irrational root
 @example((mk([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), 3, TOL60))  # a triple root, rho = h
 @example((mk([[0, 3, 0], [0, 0, 3], [3, 0, 0]]), 2, TOL60))  # nilpotent submatrices
 @example((DOUBLE_ROOT, 4, Fraction(5)))  # tol > h, so K = 0
-@example((mk([[0, 1], [1, 0]]), 2, Fraction(3)))  # K = 0 at rho = h
-def test_perron_r_on_repeated_roots(case):
+def test_perron_r_is_the_largest_bisected_root(case):
     b, r, tol = case
     want = max(rho_bisect(sub_of(b, c), tol) for c in combinations(range(b.n), r))
     assert perron_r(b, r, tol) == want
