@@ -19,9 +19,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from zmx.construct import bdsw_matrix, circulant_pz, from_cyclic_params, type_d
 from zmx.cyclic import (
@@ -137,20 +136,13 @@ def serialize_matrix(a: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class CyclicInfo:
-    """Cycle-structure facts that ride along with a ClassReport."""
+class CyclicInfo(namedtuple("CyclicInfo", "is_full is_inverse_cyclic is_bdsw d c d_minus_c verdict "
+                                           "inverse inverse_is_z inverse_is_bdsw")):
+    """Cycle-structure facts that ride along with a ClassReport: d, c and
+    d - c as Fractions, the verdict's value, and the inverse Matrix with its
+    two flags, all three None for a singular matrix."""
 
-    is_full: bool
-    is_inverse_cyclic: bool
-    is_bdsw: bool
-    d: Fraction
-    c: Fraction
-    d_minus_c: Fraction
-    verdict: str
-    inverse: Optional[Matrix]
-    inverse_is_z: Optional[bool]
-    inverse_is_bdsw: Optional[bool]
+    __slots__ = ()
 
 
 def gather_info(a: Matrix, cap: int = ORDER_CAP) -> tuple[ClassReport, CyclicInfo]:
@@ -187,7 +179,7 @@ def _json_value(x):
 
 def emit_report(r: ClassReport, info: CyclicInfo, format: str = "text") -> str:
     if format == "json":
-        payload = {f.name: getattr(obj, f.name) for obj in (r, info) for f in fields(obj)}
+        payload = dict(zip(r._fields + info._fields, r + info))
         return json.dumps(payload, separators=(",", ":"), default=_json_value)
     lines = [
         f"order: {r.n}",

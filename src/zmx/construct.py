@@ -13,10 +13,10 @@ under which its inverse is a bdsw M- or N-matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from zmx.cyclic import _cycle_grid
 from zmx.errors import ORDER_CAP
@@ -111,11 +111,10 @@ def type_d(a: Sequence) -> Matrix:
     return Matrix._from_grid(k, [g[:i] + [g[i]] * (n - i) for i in range(n)])
 
 
-@dataclass(frozen=True)
-class TypeDVerification:
-    tridiagonal: bool
-    z: bool
-    l_index_of_inverse: Optional[int]
+class TypeDVerification(namedtuple("TypeDVerification", "tridiagonal z l_index_of_inverse")):
+    """Whether the inverse is tridiagonal and Z; its L-band index, None unless Z."""
+
+    __slots__ = ()
 
 
 def _type_d_report(a: Sequence, cap: int) -> tuple[TypeDVerification, Matrix]:

@@ -15,7 +15,7 @@ matrix; _maybee_inverse sums every row, all rows' sets in one sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable
 
@@ -23,39 +23,34 @@ from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
 from zmx.matrix import Matrix, _bareiss, _is_index, _principal_minors
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Vertex set {1..n} plus a set of directed edges, loops allowed."""
+class Digraph(namedtuple("Digraph", "n edges")):
+    """Vertex set {1..n} plus a frozenset of directed edges, loops allowed."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+    def __new__(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Digraph":
         if not _is_index(n, n):
             raise ValueError(f"digraph order {n!r} is not a positive integer")
         es = [(i, j) for i, j in edges]
         for i, j in es:
             if not (_is_index(i, n) and _is_index(j, n)):
                 raise ValueError(f"edge ({i},{j}) outside vertex range 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(es))
+        return super().__new__(cls, n, frozenset(es))
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path", "vertices n")):
     """Simple path, stored as its vertex sequence inside {1..n}."""
 
-    vertices: tuple[int, ...]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vs = self.vertices
-        if len(vs) < 2:
+    def __new__(cls, vertices: tuple[int, ...], n: int) -> "Path":
+        if len(vertices) < 2:
             raise ValueError("a path has at least one edge")
-        if len(set(vs)) != len(vs):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("path vertices must be distinct")
-        if not (_is_index(self.n, self.n) and all(_is_index(v, self.n) for v in vs)):
-            raise ValueError(f"path vertices must be integers in 1..{self.n!r}")
+        if not (_is_index(n, n) and all(_is_index(v, n) for v in vertices)):
+            raise ValueError(f"path vertices must be integers in 1..{n!r}")
+        return super().__new__(cls, vertices, n)
 
     @property
     def length(self) -> int:

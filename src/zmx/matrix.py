@@ -22,7 +22,6 @@ taxonomy and the path formula for inverse entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -109,7 +108,10 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         if not _is_index(n, n):
             raise ValueError(f"matrix order {n!r} is not a positive integer")
-        return cls._from_grid(1, [[int(i == j) for j in range(n)] for i in range(n)])
+        grid = [[0] * n for _ in range(n)]
+        for i in range(n):
+            grid[i][i] = 1
+        return cls._from_grid(1, grid)
 
     @classmethod
     def zeros(cls, n: int) -> "Matrix":
@@ -128,7 +130,7 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         """Entry in row i, column j (1-based)."""
         n = self.n
-        if not (1 <= i <= n and 1 <= j <= n):
+        if not (_is_index(i, n) and _is_index(j, n)):
             raise IndexError(f"entry ({i},{j}) outside an order-{n} matrix")
         return Fraction(self._grid[i - 1][j - 1], self._lcm)
 
@@ -216,24 +218,45 @@ def _is_index(v, n: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
 
 
-@dataclass(frozen=True)
 class IndexSet:
-    """Ascending subset of {1, ..., base}. May be empty (a complement can be)."""
+    """Ascending subset of {1, ..., base}. May be empty (a complement can be).
+    Immutable, equal and hashed by (base, members)."""
 
-    base: int
-    members: tuple[int, ...]
+    __slots__ = ("base", "members")
 
-    def __post_init__(self):
-        if not _is_index(self.base, self.base):
-            raise ValueError(f"base {self.base!r} is not a positive integer")
-        object.__setattr__(self, "members", tuple(self.members))
+    def __init__(self, base: int, members: Iterable[int]) -> None:
+        if not _is_index(base, base):
+            raise ValueError(f"base {base!r} is not a positive integer")
+        members = tuple(members)
         prev = 0
-        for m in self.members:
-            if not _is_index(m, self.base):
-                raise ValueError(f"index {m} outside 1..{self.base}")
+        for m in members:
+            if not _is_index(m, base):
+                raise ValueError(f"index {m} outside 1..{base}")
             if m <= prev:
                 raise ValueError("members must be strictly ascending")
             prev = m
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return IndexSet, (self.base, self.members)
+
+    def __repr__(self) -> str:
+        return f"IndexSet(base={self.base!r}, members={self.members!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not IndexSet:
+            return NotImplemented
+        return self.base == other.base and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.members))
 
     def complement(self) -> "IndexSet":
         inside = set(self.members)

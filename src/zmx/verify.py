@@ -13,7 +13,7 @@ so campaigns can be rerun or subdivided without changing outcomes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from zmx.construct import _bdsw, _cycle_walk, _type_d_report, circulant_conditions, circulant_pz, type_d
 from zmx.cyclic import (
@@ -45,15 +45,10 @@ from zmx.sampling import (
 from zmx.zclass import _minor_signs, is_f0, is_n, is_n0, is_nonsingular_m
 
 
-@dataclass
-class VerifySummary:
-    theorem: str
-    n_lo: int
-    n_hi: int
-    trials: int
-    seed: int
-    checks: int
-    failures: list[str]
+class VerifySummary(namedtuple("VerifySummary", "theorem n_lo n_hi trials seed checks failures")):
+    """One campaign's arguments, its check count and its failure labels, a list of str."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -31,7 +31,7 @@ on that weak-M test closes and certifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -49,12 +49,11 @@ def is_z(a: Matrix) -> bool:
     return all(g[i][j] <= 0 for i in range(n) for j in range(n) if i != j)
 
 
-@dataclass(frozen=True)
-class ZRepresentation:
-    """Split A = t*I - b of a Z-matrix, with b entrywise nonnegative."""
+class ZRepresentation(namedtuple("ZRepresentation", "t b")):
+    """Split A = t*I - b of a Z-matrix, t a Fraction and the Matrix b
+    entrywise nonnegative."""
 
-    t: Fraction
-    b: Matrix
+    __slots__ = ()
 
 
 def z_decompose(a: Matrix, t) -> ZRepresentation:
@@ -238,19 +237,12 @@ def l_index(a: Matrix, cap: int = ORDER_CAP) -> int:
     return _band(a, 0, cap)[0]
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    n: int
-    is_z: bool
-    is_nonsingular: bool
-    determinant: Fraction
-    irreducible: bool
-    is_m: bool
-    is_nonsingular_m: bool
-    is_n: bool
-    is_n0: bool
-    is_f0: bool
-    l_index: Optional[int]
+class ClassReport(namedtuple("ClassReport", "n is_z is_nonsingular determinant irreducible is_m "
+                                             "is_nonsingular_m is_n is_n0 is_f0 l_index")):
+    """classify's verdicts: the order, bools, the determinant as a Fraction
+    and l_index, None unless the matrix is Z."""
+
+    __slots__ = ()
 
 
 def classify(a: Matrix, cap: int = ORDER_CAP) -> ClassReport:

@@ -269,6 +269,12 @@ def test_entry_indexing_is_one_based():
         GOLD_A.entry(0, 1)
     with pytest.raises(IndexError):
         GOLD_A.entry(1, 4)
+    # a bool or a float names no index, by entry or by subscript
+    for i, j in ((True, 1), (1, False), (1.0, 1), (1, 2.0), ("1", 1)):
+        with pytest.raises(IndexError, match="outside an order-3 matrix"):
+            GOLD_A.entry(i, j)
+        with pytest.raises(IndexError, match="outside an order-3 matrix"):
+            GOLD_A[i, j]
 
 
 def test_floats_are_rejected():

@@ -8,7 +8,6 @@ the two characterizations stay independently verified.
 import inspect
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -773,4 +772,4 @@ def test_classify_is_invariant_under_positive_diagonal_scaling(a, data):
     scale = Fraction(1)
     for x in p + q:
         scale *= x
-    assert classify(dae) == replace(report, determinant=report.determinant * scale)
+    assert classify(dae) == report._replace(determinant=report.determinant * scale)
