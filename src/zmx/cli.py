@@ -8,8 +8,10 @@ rational strings except the perron command, which also shows a decimal.
 
 Exit codes: 0 success, 1 failed check or domain error, 2 usage/parse error.
 
-The subcommands are one table, _COMMANDS; main builds only the parser of the
-command its first argument names, and every parser for help or a bad command.
+The subcommands are one table, _COMMANDS. A call whose first argument names
+a command is parsed by that command's parser alone; help, no argument, an
+unknown first word and words the command leaves over go to the full parser,
+so usage lines and errors read as argparse's subcommand parser gives them.
 """
 
 from __future__ import annotations
@@ -253,8 +255,13 @@ def _cmd_digraph(args) -> int:
     return 0
 
 
-def _split_literals(text: str) -> list[Fraction]:
-    return [_literal(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
+def _split_literals(p: argparse.ArgumentParser, option: str, text: str) -> list[Fraction]:
+    """The rationals of a list option, separated by commas or whitespace; an
+    empty field ("1,,2", ",1", "1,") is a usage error."""
+    fields = re.split(r"\s*,\s*|\s+", text.strip())
+    if "" in fields:
+        p.error(f"argument {option}: empty field in {text!r}")
+    return [_literal(field) for field in fields]
 
 
 def _cmd_gen(args) -> int:
@@ -262,16 +269,16 @@ def _cmd_gen(args) -> int:
     if args.family == "typed":
         if args.params is None:
             p.error("gen typed requires --params")
-        m = type_d(_split_literals(args.params))
+        m = type_d(_split_literals(p, "--params", args.params))
     elif args.family == "circulant":
         if args.alpha is None:
             p.error("gen circulant requires --alpha")
-        m = circulant_pz(_split_literals(args.alpha))
+        m = circulant_pz(_split_literals(p, "--alpha", args.alpha))
     else:
         if args.diag is None or args.sup is None or args.corner is None:
             p.error(f"gen {args.family} requires --diag, --super and --corner")
-        diag = _split_literals(args.diag)
-        sup = _split_literals(args.sup)
+        diag = _split_literals(p, "--diag", args.diag)
+        sup = _split_literals(p, "--super", args.sup)
         corner = _literal(args.corner)
         if args.family == "cyclic":
             m = from_cyclic_params(diag, sup, corner)
@@ -357,33 +364,53 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The zmx parser, with only the subcommand argv names when it names one.
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, func, specs = _COMMANDS[name]
+    for flags, kwargs in specs:
+        p.add_argument(*flags, **kwargs)
+    p.set_defaults(func=func, parser=p, command=name)
+    return p
 
-    argparse matches command names exactly, so a first word naming a command
-    is the command; anything else (help, nothing, an unknown word) gets every
-    subparser. The metavar keeps the top-level usage line listing them all.
+
+def _full_parser() -> argparse.ArgumentParser:
+    """The zmx parser with every subcommand.
+
+    Only help, no argument, an unknown first word and leftover words need it.
+    argparse reports words a subcommand leaves over at the top level, under
+    the usage line of zmx, not of the command.
     """
     parser = argparse.ArgumentParser(
         prog="zmx",
         description="Exact-arithmetic toolkit for cycle matrices, bdsw patterns "
         "and the Z-matrix taxonomy.",
     )
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (text, func, specs) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=text)
-            for flags, kwargs in specs:
-                p.add_argument(*flags, **kwargs)
-            p.set_defaults(func=func, parser=p)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=text), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as _full_parser().parse_args(argv) does, with one parser
+    for a well-formed call.
+
+    argparse matches command names exactly, so a first word naming a command
+    is the command, and its parser, built as add_parser builds it, parses the
+    rest. Leftover words are reported at the top level, so then the full
+    parser parses argv again and reports them. It also takes every argv whose
+    first word names no command.
+    """
+    if argv and argv[0] in _COMMANDS:
+        p = _add_command(argparse.ArgumentParser(prog=f"zmx {argv[0]}"), argv[0])
+        args, extra = p.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _full_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     cap = ORDER_CAP
     env = os.environ.get("ZMX_ORDER_CAP")
     if env is not None:
