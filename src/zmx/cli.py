@@ -373,12 +373,9 @@ def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
 
 
 def _full_parser() -> argparse.ArgumentParser:
-    """The zmx parser with every subcommand.
-
-    Only help, no argument, an unknown first word and leftover words need it.
-    argparse reports words a subcommand leaves over at the top level, under
-    the usage line of zmx, not of the command.
-    """
+    """The zmx parser with every subcommand, for help, no argument, an
+    unknown first word and leftover words, which argparse reports at the top
+    level, under the usage line of zmx."""
     parser = argparse.ArgumentParser(
         prog="zmx",
         description="Exact-arithmetic toolkit for cycle matrices, bdsw patterns "
@@ -391,14 +388,12 @@ def _full_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as _full_parser().parse_args(argv) does, with one parser
-    for a well-formed call.
+    """Parse argv as _full_parser().parse_args(argv) does.
 
-    argparse matches command names exactly, so a first word naming a command
-    is the command, and its parser, built as add_parser builds it, parses the
-    rest. Leftover words are reported at the top level, so then the full
-    parser parses argv again and reports them. It also takes every argv whose
-    first word names no command.
+    A first word naming a command is the command (argparse matches names
+    exactly), so its parser alone, built as add_parser builds it, parses the
+    rest. Words it leaves over are reported at the top level, so then the
+    full parser parses argv again; it also takes every other argv.
     """
     if argv and argv[0] in _COMMANDS:
         p = _add_command(argparse.ArgumentParser(prog=f"zmx {argv[0]}"), argv[0])
