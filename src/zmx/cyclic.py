@@ -37,18 +37,20 @@ or d - c > 0 (n odd), and nothing else qualifies.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 from math import prod
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from zmx.errors import NotInverseCyclicError, SingularMatrixError
 from zmx.matrix import Matrix, inverse
 
 
-class CyclicProducts(NamedTuple):
-    d: Fraction
-    c: Fraction
+class CyclicProducts(namedtuple("CyclicProducts", "d c")):
+    """d, the product of the diagonal, and c, the cyclic product of the hops."""
+
+    __slots__ = ()
 
 
 class Verdict(enum.Enum):

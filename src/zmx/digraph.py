@@ -1,23 +1,26 @@
 """Digraphs of square matrices and the path formula for inverse entries.
 
 The digraph D(A) of an order-n matrix has vertices v1..vn and an edge (i, j)
-exactly when a_ij != 0; loops count. Irreducibility of A is strong
-connectivity of D(A), with n = 1 irreducible by convention. Path enumeration
-is exhaustive DFS over simple paths, so it carries a hard order cap (the
-dense worst case is factorial); exceeding the cap raises OrderCapError
-rather than silently grinding. is_unipathic stops at the second path to any
-vertex, so it is polynomial and uncapped; both walks keep an explicit
-stack, not the call stack. maybee_entry does not walk the paths: it sums the path formula
-by vertex set in O(n^2 * 2^n) integer work, its off-path minors from one
-sweep over their prefixes only, polynomially many for a unipathic (bdsw)
-matrix; _maybee_inverse sums every row, all rows' sets in one sweep.
+exactly when a_ij != 0; loops count. Digraph(...) and Path(...) check their
+input; digraph_of and enumerate_paths, whose vertices are in range by
+construction, build them with _make. Irreducibility of A is strong
+connectivity of D(A), with n = 1 irreducible by convention. Every walk reads
+the out-lists of _adjacency, and both path questions run the one simple-path
+DFS, _walk, on an explicit stack rather than the call stack. Path enumeration
+lists every path, so it carries a hard order cap (the dense worst case is
+factorial); exceeding the cap raises OrderCapError rather than silently
+grinding. is_unipathic stops at the second path to any vertex, so it is
+polynomial and uncapped. maybee_entry does not walk the paths: it sums the
+path formula by vertex set in O(n^2 * 2^n) integer work, its off-path minors
+from one sweep over their prefixes only, polynomially many for a unipathic
+(bdsw) matrix; _maybee_inverse sums every row, all rows' sets in one sweep.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from zmx.errors import ORDER_CAP, SingularMatrixError, check_order_cap
 from zmx.matrix import Matrix, _bareiss, _is_index, _principal_minors
@@ -66,33 +69,49 @@ class Path(namedtuple("Path", "vertices n")):
 def digraph_of(a: Matrix) -> Digraph:
     n = a.n
     g = a._grid
-    return Digraph(
-        n,
-        ((i + 1, j + 1) for i in range(n) for j in range(n) if g[i][j]),
+    # edges read off grid indices are in range, so _make skips __new__'s checks
+    return Digraph._make(
+        (n, frozenset((i + 1, j + 1) for i in range(n) for j in range(n) if g[i][j]))
     )
 
 
-def _adjacency(d: Digraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(d.n + 1)]
-    for i, j in d.edges:
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Out-lists indexed by vertex 1..n (slot 0 unused), in edge order."""
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, j in edges:
         adj[i].append(j)
-    for lst in adj:
-        lst.sort()
     return adj
 
 
-def is_irreducible(d: Digraph) -> bool:
-    """Strong connectivity of d; a single vertex is irreducible by convention."""
-    if d.n == 1:
-        return True
-    fwd: list[list[int]] = [[] for _ in range(d.n + 1)]
-    rev: list[list[int]] = [[] for _ in range(d.n + 1)]
-    for i, j in d.edges:
-        if i != j:
-            fwd[i].append(j)
-            rev[j].append(i)
+def _walk(adj: list[list[int]], source: int, stop: int | None) -> Iterator[list[int]]:
+    """Each simple path from source, as the trail (source first) after each step
+    of a DFS on an explicit stack; the list is reused, so read it before
+    resuming. The walk does not go on past stop."""
+    on_trail = [False] * len(adj)
+    on_trail[source] = True
+    trail = [source]
+    stack = [iter(adj[source])]  # one neighbour iterator per trail vertex
+    while stack:
+        for w in stack[-1]:
+            if not on_trail[w]:
+                trail.append(w)
+                yield trail
+                if w == stop:
+                    trail.pop()
+                    continue
+                on_trail[w] = True
+                stack.append(iter(adj[w]))
+                break
+        else:
+            stack.pop()
+            on_trail[trail.pop()] = False
 
-    def reaches_all(adj):
+
+def is_irreducible(d: Digraph) -> bool:
+    """Strong connectivity of d: v1 reaches every vertex along the edges and
+    against them, so a single vertex is irreducible."""
+    for edges in (d.edges, ((j, i) for i, j in d.edges)):
+        adj = _adjacency(d.n, edges)
         seen = {1}
         stack = [1]
         while stack:
@@ -100,9 +119,9 @@ def is_irreducible(d: Digraph) -> bool:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == d.n
-
-    return reaches_all(fwd) and reaches_all(rev)
+        if len(seen) != d.n:
+            return False
+    return True
 
 
 def enumerate_paths(d: Digraph, i: int, j: int, cap: int = ORDER_CAP) -> list[Path]:
@@ -112,55 +131,28 @@ def enumerate_paths(d: Digraph, i: int, j: int, cap: int = ORDER_CAP) -> list[Pa
     if i == j:
         raise ValueError("path endpoints must differ")
     check_order_cap(d.n, cap)
-    adj = _adjacency(d)
-    found: list[tuple[int, ...]] = []
-    trail = [i]
-    on_trail = [False] * (d.n + 1)
-    on_trail[i] = True
-    stack = [iter(adj[i])]  # one neighbour iterator per trail vertex
-    while stack:
-        for w in stack[-1]:
-            if w == j:
-                found.append(tuple(trail) + (j,))
-            elif not on_trail[w]:
-                on_trail[w] = True
-                trail.append(w)
-                stack.append(iter(adj[w]))
-                break
-        else:
-            stack.pop()
-            on_trail[trail.pop()] = False
+    found = [tuple(t) for t in _walk(_adjacency(d.n, d.edges), i, j) if t[-1] == j]
     found.sort(key=lambda vs: (len(vs), vs))
-    return [Path(vs, d.n) for vs in found]
+    # each trail holds distinct vertices of d, so _make skips Path's checks
+    return [Path._make((vs, d.n)) for vs in found]
 
 
 def is_unipathic(d: Digraph) -> bool:
     """True when every ordered vertex pair (i, j), i != j, has at most one simple path.
 
-    One DFS over the simple paths from each source: every arrival at a
+    One walk over the simple paths from each source: every step onto a
     vertex is a distinct simple path to it, so the second arrival at any
     vertex answers False. It enters each vertex at most once per source, so
     it costs O(n(n+m)) and needs no order cap.
     """
-    adj = _adjacency(d)
+    adj = _adjacency(d.n, d.edges)
     for source in range(1, d.n + 1):
         arrived = [False] * (d.n + 1)
-        on_trail = [False] * (d.n + 1)
-        on_trail[source] = True
-        trail, stack = [source], [iter(adj[source])]
-        while stack:
-            for w in stack[-1]:
-                if on_trail[w]:
-                    continue
-                if arrived[w]:
-                    return False
-                arrived[w] = on_trail[w] = True
-                trail.append(w)
-                stack.append(iter(adj[w]))
-                break
-            else:
-                stack.pop()
-                on_trail[trail.pop()] = False
+        for trail in _walk(adj, source, None):
+            w = trail[-1]
+            if arrived[w]:
+                return False
+            arrived[w] = True
     return True
 
 

@@ -4,7 +4,7 @@ A matrix is stored as its canonical integer pair (L, G): L > 0 is the lcm of
 the entry denominators and G = L*A is an integer grid, so equal matrices
 have equal pairs. Floating point is rejected at the door, so no result here
 is ever approximate. Entries come back as fractions.Fraction, built from G
-only when rows, entry, str or repr ask for them. The public API is 1-based:
+each time rows, entry, str or repr ask for them. The public API is 1-based:
 A[i, j] is the entry in row i, column j for 1 <= i, j <= n, matching the
 convention used in the docs, error messages and the CLI formats.
 
@@ -78,7 +78,7 @@ def _packed_product(a, b) -> list[list[int]]:
 class Matrix:
     """Immutable square matrix over Fraction with 1-based entry access."""
 
-    __slots__ = ("_lcm", "_grid", "_rows")
+    __slots__ = ("_lcm", "_grid")
 
     def __init__(self, rows: Iterable[Iterable[Entry]]) -> None:
         cells = [[_ratio(x) for x in row] for row in rows]
@@ -89,7 +89,7 @@ class Matrix:
             if len(row) != n:
                 raise ValueError(f"expected {n} entries per row in an order-{n} matrix, got {len(row)}")
         lcm, grid = _cleared(cells)
-        self._lcm, self._grid, self._rows = lcm, tuple(map(tuple, grid)), None
+        self._lcm, self._grid = lcm, tuple(map(tuple, grid))
 
     @classmethod
     def _from_grid(cls, lcm: int, grid) -> "Matrix":
@@ -101,7 +101,7 @@ class Matrix:
                 lcm //= g
                 grid = [[x // g for x in row] for row in grid]
         m = object.__new__(cls)
-        m._lcm, m._grid, m._rows = lcm, tuple(map(tuple, grid)), None
+        m._lcm, m._grid = lcm, tuple(map(tuple, grid))
         return m
 
     @classmethod
@@ -123,9 +123,7 @@ class Matrix:
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._rows is None:
-            self._rows = tuple(tuple(Fraction(x, self._lcm) for x in row) for row in self._grid)
-        return self._rows
+        return tuple(tuple(Fraction(x, self._lcm) for x in row) for row in self._grid)
 
     def entry(self, i: int, j: int) -> Fraction:
         """Entry in row i, column j (1-based)."""

@@ -4,6 +4,7 @@ one subprocess check covers the python -m entry point."""
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -586,6 +587,15 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verdict: Neither" in proc.stdout
+
+
+def test_console_script_target_resolves():
+    # the zmx command an install creates calls [project.scripts]'s target
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["zmx"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -6,7 +6,7 @@ v_j produce entry (i, j) of the inverse)."""
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -151,14 +151,52 @@ def small_digraph(draw):
     return Digraph(n, draw(st.sets(st.sampled_from(cells), max_size=2 * n)))
 
 
+def brute_force_paths(d, i, j):
+    """Every simple path from v_i to v_j, in shortlex order: the vertex
+    sequences i, inner..., j over the other vertices whose consecutive pairs
+    are all edges. permutations of the ascending inner vertices come in
+    lexicographic order, so each length's paths do too."""
+    inner = [v for v in range(1, d.n + 1) if v != i and v != j]
+    return [Path((i, *mid, j), d.n)
+            for k in range(len(inner) + 1) for mid in permutations(inner, k)
+            if all(e in d.edges for e in zip((i, *mid), (*mid, j)))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_digraph())
 @example(digraph_of(BDSW4))
 @example(FULL3)
 def test_is_unipathic_matches_path_listing(d):
-    want = all(len(enumerate_paths(d, i, j)) <= 1
-               for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j)
-    assert is_unipathic(d) == want
+    # both walks against a reference that shares no code with them
+    want = {(i, j): brute_force_paths(d, i, j)
+            for i in range(1, d.n + 1) for j in range(1, d.n + 1) if i != j}
+    for (i, j), paths in want.items():
+        assert enumerate_paths(d, i, j) == paths
+    assert is_unipathic(d) == all(len(paths) <= 1 for paths in want.values())
+
+
+def warshall_closure(d):
+    """reach[u][v] (0-based) when some walk of at least one edge, loops
+    included, leads from v_(u+1) to v_(v+1)."""
+    n = d.n
+    reach = [[(u, v) in d.edges for v in range(1, n + 1)] for u in range(1, n + 1)]
+    for k in range(n):
+        for row in reach:
+            if row[k]:
+                row[:] = [r or t for r, t in zip(row, reach[k])]
+    return reach
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraph())
+@example(Digraph(1, []))  # a single vertex is irreducible, loop or not
+@example(Digraph(2, {(1, 2), (1, 1)}))  # v1 reaches v2, nothing reaches v1
+@example(Digraph(2, {(2, 1), (2, 2)}))  # v2 reaches v1, v1 reaches nothing
+@example(FULL3)
+def test_is_irreducible_matches_warshall_closure(d):
+    reach = warshall_closure(d)
+    want = d.n == 1 or all(reach[u][v] for u in range(d.n) for v in range(d.n) if u != v)
+    assert is_irreducible(d) == want
 
 
 def test_maybee_entry_golden_path():

@@ -1,7 +1,8 @@
 """The public records: named tuples, plus IndexSet, a small immutable class.
 
 Each record keeps the constructor, field order and repr text it had as a
-dataclass; the frozen ones keep equality and hashing; none takes assignment.
+dataclass or typing.NamedTuple; the frozen ones keep equality and hashing;
+none takes assignment.
 A fresh interpreter that imports zmx.cli loads neither dataclasses nor
 inspect, which is most of what the import used to cost.
 """
@@ -20,6 +21,7 @@ import zmx
 from zmx import IndexSet, Matrix, Path, classify, digraph_of, type_d_verify
 from zmx.cli import gather_info
 from zmx.construct import TypeDVerification
+from zmx.cyclic import CyclicProducts, cyclic_products
 from zmx.digraph import Digraph
 from zmx.verify import VerifySummary
 from zmx.zclass import ClassReport, ZRepresentation, z_decompose
@@ -45,7 +47,7 @@ def test_import_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.split() == []
 
 
-# (record, its fields in order, its repr as a dataclass)
+# (record, its fields in order, its repr text)
 RECORDS = [
     (
         classify(A),
@@ -89,8 +91,9 @@ RECORDS = [
     (Digraph(2, [(1, 2)]), ("n", "edges"), "Digraph(n=2, edges=frozenset({(1, 2)}))"),
     (Path((1, 2), 3), ("vertices", "n"), "Path(vertices=(1, 2), n=3)"),
     (IndexSet(5, (1, 3)), ("base", "members"), "IndexSet(base=5, members=(1, 3))"),
+    (cyclic_products(A), ("d", "c"), "CyclicProducts(d=Fraction(4, 1), c=Fraction(1, 1))"),
 ]
-FROZEN = (ClassReport, ZRepresentation, TypeDVerification, Digraph, Path, IndexSet)
+FROZEN = (ClassReport, ZRepresentation, TypeDVerification, Digraph, Path, IndexSet, CyclicProducts)
 
 
 @pytest.mark.parametrize("record, names, text", RECORDS, ids=[type(r).__name__ for r, _, _ in RECORDS])
