@@ -43,19 +43,19 @@ from zmx.errors import (
     OrderCapError,
     SingularMatrixError,
 )
-from zmx.matrix import Matrix, inverse
+from zmx.matrix import Matrix, _cleared, inverse
 from zmx.verify import CAMPAIGNS, run_verify
 from zmx.zclass import ClassReport, classify, is_z, perron_r
 
 _LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
-def _literal(token: str) -> Fraction:
+def _literal(token: str) -> tuple[int, int]:
+    """(numerator, denominator) of a rational literal, not reduced."""
     m = _LITERAL.match(token)
     if not m or (m.group(2) is not None and int(m.group(2)) == 0):
         raise ValueError(f"bad rational literal {token!r}")
-    num = int(m.group(1))
-    return Fraction(num, int(m.group(2))) if m.group(2) else Fraction(num)
+    return int(m.group(1)), int(m.group(2) or 1)
 
 
 def _parse_text(text: str) -> Matrix:
@@ -88,7 +88,8 @@ def _parse_text(text: str) -> Matrix:
             raise MatrixParseError(f"expected {n} entries in row, got {len(entries)}",
                                    line=no, column=1)
         rows.append(entries)
-    return Matrix(rows)
+    # square and nonempty by the checks above; the gcd pass reduces "2/4"
+    return Matrix._from_grid(*_cleared(rows))
 
 
 def _parse_json(text: str) -> Matrix:
@@ -119,7 +120,7 @@ def _parse_json(text: str) -> Matrix:
             except ValueError as exc:
                 raise MatrixParseError(f"entry ({i},{j}): {exc}") from None
         rows.append(out)
-    return Matrix(rows)
+    return Matrix._from_grid(*_cleared(rows))
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -261,7 +262,7 @@ def _split_literals(p: argparse.ArgumentParser, option: str, text: str) -> list[
     fields = re.split(r"\s*,\s*|\s+", text.strip())
     if "" in fields:
         p.error(f"argument {option}: empty field in {text!r}")
-    return [_literal(field) for field in fields]
+    return [Fraction(*_literal(field)) for field in fields]
 
 
 def _cmd_gen(args) -> int:
@@ -279,7 +280,7 @@ def _cmd_gen(args) -> int:
             p.error(f"gen {args.family} requires --diag, --super and --corner")
         diag = _split_literals(p, "--diag", args.diag)
         sup = _split_literals(p, "--super", args.sup)
-        corner = _literal(args.corner)
+        corner = Fraction(*_literal(args.corner))
         if args.family == "cyclic":
             m = from_cyclic_params(diag, sup, corner)
         else:
@@ -304,7 +305,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_perron(args) -> int:
     b = parse_matrix(_read_input(args.file))
-    tol = _literal(args.tol)
+    tol = Fraction(*_literal(args.tol))
     v = perron_r(b, args.r, tol, cap=args.cap)
     print(f"r: {args.r}")
     print(f"bound: {v}")

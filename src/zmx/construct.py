@@ -9,28 +9,31 @@ from a strictly increasing parameter list, whose inverse is tridiagonal.
 circulant_pz evaluates a polynomial in the cyclic shift matrix by laying out
 the circulant it equals; circulant_conditions tests the parameter conditions
 under which its inverse is a bdsw M- or N-matrix.
+
+Each parameter enters once, through matrix._ratio, as a lowest-terms integer
+pair; only circulant_conditions reads Fractions, for its power relation.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import prod
 from typing import Sequence
 
 from zmx.cyclic import _cycle_grid
 from zmx.errors import ORDER_CAP
-from zmx.matrix import Matrix, _cleared, _exact, _is_index, inverse
+from zmx.matrix import Matrix, _cleared, _exact, _is_index, _ratio, inverse
 from zmx.zclass import is_z, l_index
 
 
-def _params(seq, name) -> list[Fraction]:
-    return [_exact(x, name) for x in seq]
+def _params(seq, name) -> list[tuple[int, int]]:
+    return [_ratio(x, name) for x in seq]
 
 
 def _cycle_params(diag: Sequence, sup: Sequence, corner) -> tuple[list, list]:
-    """Exact diagonal and hops (super-diagonal, then the corner) of an order
-    n >= 2 cycle: n - 1 super-diagonal parameters and a nonzero diagonal."""
+    """Lowest-terms pairs of the diagonal and hops (super-diagonal, then the
+    corner) of an order n >= 2 cycle: n - 1 super-diagonal parameters and a
+    nonzero diagonal."""
     d = _params(diag, "diag")
     hops = _params(sup, "super") + _params([corner], "corner")
     n = len(d)
@@ -38,13 +41,9 @@ def _cycle_params(diag: Sequence, sup: Sequence, corner) -> tuple[list, list]:
         raise ValueError("need at least 2 diagonal parameters")
     if len(hops) != n:
         raise ValueError(f"expected {n - 1} super-diagonal parameters, got {len(hops) - 1}")
-    if any(x == 0 for x in d):
+    if any(p == 0 for p, _ in d):
         raise ValueError("diagonal parameters must be nonzero")
     return d, hops
-
-
-def _pairs(xs) -> list[tuple[int, int]]:
-    return [(x.numerator, x.denominator) for x in xs]
 
 
 def _cycle_walk(diag, hops) -> Matrix:
@@ -81,8 +80,7 @@ def from_cyclic_params(diag: Sequence, sup: Sequence, corner) -> Matrix:
     positions are the monomials the case-equations force, so the result
     always satisfies is_inverse_cyclic.
     """
-    d, hops = _cycle_params(diag, sup, corner)
-    return _cycle_walk(_pairs(d), _pairs(hops))
+    return _cycle_walk(*_cycle_params(diag, sup, corner))
 
 
 def bdsw_matrix(diag: Sequence, sup: Sequence, corner) -> Matrix:
@@ -92,9 +90,9 @@ def bdsw_matrix(diag: Sequence, sup: Sequence, corner) -> Matrix:
     exactly the four entries of the matrix.
     """
     d, hops = _cycle_params(diag, sup, corner)
-    if any(x == 0 for x in hops):
+    if any(p == 0 for p, _ in hops):
         raise ValueError("bdsw parameters must all be nonzero")
-    return _bdsw(_pairs(d), _pairs(hops))
+    return _bdsw(d, hops)
 
 
 def type_d(a: Sequence) -> Matrix:
@@ -103,11 +101,11 @@ def type_d(a: Sequence) -> Matrix:
     n = len(p)
     if n < 1:
         raise ValueError("need at least one parameter")
-    for prev, cur in zip(p, p[1:]):
-        if cur <= prev:
-            raise ValueError("parameters must be strictly increasing")
+    # K > 0, so the cleared row g = K*a increases exactly when a does
+    k, (g,) = _cleared([p])
+    if any(cur <= prev for prev, cur in zip(g, g[1:])):
+        raise ValueError("parameters must be strictly increasing")
     # a_ij = a_min(i,j): row i of the grid is g[:i], then g[i] to the end
-    k, (g,) = _cleared([_pairs(p)])
     return Matrix._from_grid(k, [g[:i] + [g[i]] * (n - i) for i in range(n)])
 
 
@@ -119,10 +117,11 @@ class TypeDVerification(namedtuple("TypeDVerification", "tridiagonal z l_index_o
 
 def _type_d_report(a: Sequence, cap: int) -> tuple[TypeDVerification, Matrix]:
     """type_d_verify's report, and the inverse of type_d(a) it reads."""
-    p = _params(a, "a")
-    if p and p[0] == 0:
+    # every parameter is read before a_1, so an inexact one still raises first
+    a = list(a)
+    if a and _params(a, "a")[0][0] == 0:
         raise ValueError("a_1 must be nonzero, the matrix would be singular")
-    inv = inverse(type_d(p))
+    inv = inverse(type_d(a))
     z = is_z(inv)
     return TypeDVerification(is_tridiagonal(inv), z, l_index(inv, cap) if z else None), inv
 
@@ -158,7 +157,7 @@ def circulant_pz(alpha: Sequence) -> Matrix:
     if n < 1:
         raise ValueError("need at least one coefficient")
     # row i of the grid is the first row rotated i places right
-    k, (g,) = _cleared([_pairs(coeffs)])
+    k, (g,) = _cleared([coeffs])
     return Matrix._from_grid(k, [g[n - i:] + g[:n - i] for i in range(n)])
 
 
@@ -171,7 +170,7 @@ def circulant_conditions(alpha: Sequence, mode: str) -> bool:
     same power relation. A parameter list violating the mode's sign
     restriction is a caller error, not a False result.
     """
-    coeffs = _params(alpha, "alpha")
+    coeffs = [_exact(x, "alpha") for x in alpha]
     n = len(coeffs)
     if n < 2:
         raise ValueError("need at least two coefficients")

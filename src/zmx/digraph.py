@@ -110,16 +110,18 @@ def _walk(adj: list[list[int]], source: int, stop: int | None) -> Iterator[list[
 def is_irreducible(d: Digraph) -> bool:
     """Strong connectivity of d: v1 reaches every vertex along the edges and
     against them, so a single vertex is irreducible."""
-    for edges in (d.edges, ((j, i) for i, j in d.edges)):
-        adj = _adjacency(d.n, edges)
-        seen = {1}
-        stack = [1]
+    for reverse in (False, True):
+        adj = _adjacency(d.n, [(j, i) for i, j in d.edges] if reverse else d.edges)
+        seen = [False] * (d.n + 1)
+        seen[1] = True
+        stack, left = [1], d.n - 1  # left: the vertices not yet reached
         while stack:
             for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = True
+                    left -= 1
                     stack.append(w)
-        if len(seen) != d.n:
+        if left:
             return False
     return True
 

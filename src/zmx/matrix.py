@@ -41,10 +41,10 @@ def _exact(x, name: str) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of an exact entry, in lowest terms."""
+def _ratio(x, name: str = "entries") -> tuple[int, int]:
+    """(numerator, denominator) of an exact entry or parameter, in lowest terms."""
     if type(x) is not int and type(x) is not Fraction:
-        x = _exact(x, "entries")
+        x = _exact(x, name)
     return x.numerator, x.denominator
 
 

@@ -4,8 +4,7 @@ Every function takes an explicit random.Random so campaigns are reproducible
 from (seed, n, trial). Values are kept small on purpose: entries are products
 of parameters in several families and the point is sign structure, not
 magnitude. Draws are integer (numerator, denominator) pairs in lowest terms,
-and the matrix samplers clear them onto an integer grid with one lcm;
-rand_rational and random_cyclic_params wrap the same draws in Fractions.
+and the matrix samplers clear them onto an integer grid with one lcm.
 """
 
 from __future__ import annotations
@@ -20,17 +19,13 @@ from zmx.matrix import Matrix, _cleared, det
 
 
 def _rand_pair(rng: random.Random, lo: int = -4, hi: int = 4, nonzero: bool = False) -> tuple[int, int]:
-    """rand_rational's draw as a lowest-terms (numerator, denominator) pair."""
+    """A small integer, occasionally a half-integer, as a lowest-terms
+    (numerator, denominator) pair; nonzero draws again until it is not 0."""
     while True:
         num = rng.randint(lo, hi)
         half = rng.randrange(4) == 0
         if num or not nonzero:
             return (num, 2) if half and num % 2 else (num // 2 if half else num, 1)
-
-
-def rand_rational(rng: random.Random, lo: int = -4, hi: int = 4, nonzero: bool = False) -> Fraction:
-    """Small integer, occasionally a half-integer."""
-    return Fraction(*_rand_pair(rng, lo, hi, nonzero))
 
 
 def random_matrix(rng: random.Random, n: int) -> Matrix:
@@ -45,8 +40,13 @@ def random_nonsingular(rng: random.Random, n: int) -> Matrix:
 
 
 def _cyclic_pairs(rng, n, *, zeros=True, sign=None):
-    """random_cyclic_params' draws as pairs: (diagonal, hops), the corner the
-    last hop."""
+    """Free parameters of an inverse cyclic matrix as pairs: (diagonal, hops),
+    the corner the last hop, for _cycle_walk.
+
+    sign None draws mixed signs; "pos"/"neg" force strictly positive or
+    strictly negative parameters (which makes the walked matrix entrywise
+    positive or negative). zeros=True lets the hops vanish.
+    """
     s = {"pos": 1, "neg": -1}.get(sign)
 
     def pick(nz):
@@ -59,18 +59,6 @@ def _cyclic_pairs(rng, n, *, zeros=True, sign=None):
     if sign is None and zeros:
         return diag, [_rand_pair(rng, -3, 3) for _ in range(n)]
     return diag, [pick(True) for _ in range(n)]
-
-
-def random_cyclic_params(rng, n, *, zeros=True, sign=None):
-    """Parameters for from_cyclic_params.
-
-    sign None draws mixed signs; "pos"/"neg" force strictly positive or
-    strictly negative parameters (which makes the built matrix entrywise
-    positive or negative). zeros=True lets super/corner parameters vanish.
-    """
-    diag, hops = _cyclic_pairs(rng, n, zeros=zeros, sign=sign)
-    hops = [Fraction(*h) for h in hops]
-    return [Fraction(*x) for x in diag], hops[:-1], hops[-1]
 
 
 def random_inverse_cyclic(rng, n, *, zeros=True, sign=None) -> Matrix:
@@ -100,7 +88,7 @@ def random_bdsw(rng, n) -> Matrix:
 
 
 def random_type_d_params(rng, n, pattern=None):
-    """Strictly increasing parameters with a_1 != 0.
+    """Strictly increasing integer parameters with a_1 != 0.
 
     pattern selects the targeted sign layouts: "all_negative" (a_n < 0),
     "top_zero" (a_n = 0), "second_zero" (a_(n-1) = 0 < a_n). Default draws
@@ -118,7 +106,7 @@ def random_type_d_params(rng, n, pattern=None):
             vals = sorted(rng.sample(range(-w, w + 1), n))
             if vals[0] != 0:
                 break
-    return [Fraction(v) for v in vals]
+    return vals
 
 
 def random_z(rng, n) -> Matrix:

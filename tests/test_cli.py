@@ -6,7 +6,9 @@ import argparse
 import contextlib
 import importlib
 import io
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -600,11 +602,12 @@ def test_console_script_target_resolves():
 
 # ---------------------------------------------------------------- fuzzing
 
-# tokens near the literal grammar: valid rationals, zero denominators,
-# decimals, non-ASCII digits (Arabic-Indic ones are decimal digits, a
-# superscript two is not) and stray signs
+# tokens near the literal grammar: valid rationals, some not in lowest
+# terms, zero denominators, decimals, non-ASCII digits (Arabic-Indic ones are
+# decimal digits, a superscript two is not) and stray signs
 TOKEN = st.sampled_from(
-    ["0", "1", "-2", "3/4", "-5/6", "+7", "1/0", "1.5", "x", "-", "//", "\u00b2", "\u0663", ""]
+    ["0", "1", "-2", "3/4", "-5/6", "+7", "2/4", "-0/3", "6/3", "+4/6",
+     "1/0", "1.5", "x", "-", "//", "\u00b2", "\u0663", ""]
 )
 
 
@@ -632,6 +635,9 @@ MATRIX_TEXT = st.one_of(
 @example("1" * 5000)  # too long for int()
 @example('{"n": ' + "1" * 5000 + "}")
 @example('{"n": 1, "entries": [[' + "1" * 5000 + "]]}")
+@example("2\n2/4 -0/3\n6/3 +4/6\n")  # no literal in lowest terms
+@example('{"n": 2, "entries": [["2/4", 6], ["-0/3", "+4/6"]]}')
+@example("1\n-4/6\n")
 def test_parse_matrix_returns_a_matrix_or_a_parse_error(text):
     try:
         m = parse_matrix(text)
@@ -639,6 +645,19 @@ def test_parse_matrix_returns_a_matrix_or_a_parse_error(text):
         return
     assert isinstance(m, Matrix)
     assert parse_matrix(serialize_matrix(m)) == m
+    # the matrix of the same literals read as Fractions, in canonical form
+    assert m == Matrix(fraction_rows(text))
+    assert math.gcd(m._lcm, *itertools.chain.from_iterable(m._grid)) == 1
+
+
+def fraction_rows(text):
+    """The entries of a matrix text that parse_matrix accepted, each literal
+    p or p/q read as Fraction(p, q)."""
+    if text.lstrip().startswith("{"):
+        rows = json.loads(text)["entries"]
+    else:
+        rows = [line.split() for line in text.splitlines() if line.strip()][1:]
+    return [[Fraction(*map(int, str(cell).split("/"))) for cell in row] for row in rows]
 
 
 ARGV_TOKEN = st.sampled_from([

@@ -290,6 +290,81 @@ def test_circulant_conditions_rejections():
         circulant_conditions([2], "nonneg")
 
 
+def each(xs):
+    return (x for x in xs)
+
+
+INEXACT = "{} must be exact (int, str or Fraction)"
+# (label, call, expected): expected is (exception type, exact message), or
+# the result of the same call on Fraction parameters
+INTAKE = [
+    ("cyclic float diag", lambda: from_cyclic_params([1.5, 1], [1], 1), (TypeError, INEXACT.format("diag"))),
+    ("cyclic float super", lambda: from_cyclic_params([1, 2], [0.5], 1), (TypeError, INEXACT.format("super"))),
+    ("cyclic float corner", lambda: from_cyclic_params([1, 2], [1], 2.0), (TypeError, INEXACT.format("corner"))),
+    ("cyclic zero diag", lambda: from_cyclic_params([1, 0], [1], 1),
+     (ValueError, "diagonal parameters must be nonzero")),
+    ("cyclic order 1", lambda: from_cyclic_params([1], [], 1), (ValueError, "need at least 2 diagonal parameters")),
+    ("cyclic long super", lambda: from_cyclic_params([1, 2], [1, 2], 1),
+     (ValueError, "expected 1 super-diagonal parameters, got 2")),
+    ("cyclic strings", lambda: from_cyclic_params(["1/3", "2"], ["-1/2"], "0"),
+     from_cyclic_params([F(1, 3), F(2)], [F(-1, 2)], F(0))),
+    ("cyclic generators", lambda: from_cyclic_params(each([1, "2/4", 3]), each([0, "-3"]), 1),
+     from_cyclic_params([F(1), F(1, 2), F(3)], [F(0), F(-3)], F(1))),
+    ("bdsw float diag", lambda: bdsw_matrix([1, 2.0], [1], 1), (TypeError, INEXACT.format("diag"))),
+    ("bdsw float super", lambda: bdsw_matrix([1, 2], [1.5], 1), (TypeError, INEXACT.format("super"))),
+    ("bdsw float corner", lambda: bdsw_matrix([1, 2], [1], 0.5), (TypeError, INEXACT.format("corner"))),
+    ("bdsw zero diag", lambda: bdsw_matrix([0, 2], [1], 1), (ValueError, "diagonal parameters must be nonzero")),
+    ("bdsw zero super", lambda: bdsw_matrix([1, 2], [0], 1), (ValueError, "bdsw parameters must all be nonzero")),
+    ("bdsw zero corner", lambda: bdsw_matrix([1, 2], [1], "0/5"),
+     (ValueError, "bdsw parameters must all be nonzero")),
+    ("bdsw order 1", lambda: bdsw_matrix([1], [], 1), (ValueError, "need at least 2 diagonal parameters")),
+    ("bdsw short super", lambda: bdsw_matrix([1, 2, 3], [1], 1),
+     (ValueError, "expected 2 super-diagonal parameters, got 1")),
+    ("bdsw strings", lambda: bdsw_matrix(["1/3", "-2"], ["6/4"], "-1"),
+     bdsw_matrix([F(1, 3), F(-2)], [F(3, 2)], F(-1))),
+    ("bdsw generators", lambda: bdsw_matrix(each([1, 2]), each(["1/2"]), F(5, 3)),
+     bdsw_matrix([F(1), F(2)], [F(1, 2)], F(5, 3))),
+    ("type_d float", lambda: type_d([1, 2.5]), (TypeError, INEXACT.format("a"))),
+    ("type_d empty", lambda: type_d([]), (ValueError, "need at least one parameter")),
+    ("type_d equal", lambda: type_d([1, "2/2"]), (ValueError, "parameters must be strictly increasing")),
+    ("type_d decreasing", lambda: type_d([F(1, 2), F(1, 3)]), (ValueError, "parameters must be strictly increasing")),
+    ("type_d zero first", lambda: type_d([0, -1]), (ValueError, "parameters must be strictly increasing")),
+    ("type_d strings", lambda: type_d(["-1/3", "1/2", "2"]), type_d([F(-1, 3), F(1, 2), F(2)])),
+    ("type_d generator", lambda: type_d(each([-2, F(-1, 2), 0])), type_d([F(-2), F(-1, 2), F(0)])),
+    ("verify float", lambda: type_d_verify([1.5]), (TypeError, INEXACT.format("a"))),
+    ("verify float after zero", lambda: type_d_verify([0, 0.5]), (TypeError, INEXACT.format("a"))),
+    ("verify zero first", lambda: type_d_verify([0, -1]),
+     (ValueError, "a_1 must be nonzero, the matrix would be singular")),
+    ("verify decreasing", lambda: type_d_verify([2, 1]), (ValueError, "parameters must be strictly increasing")),
+    ("verify empty", lambda: type_d_verify([]), (ValueError, "need at least one parameter")),
+    ("verify strings", lambda: type_d_verify(["-1/3", "1/2", "2"]), type_d_verify([F(-1, 3), F(1, 2), F(2)])),
+    ("verify generator", lambda: type_d_verify(each([-3, -1, 4])), type_d_verify([F(-3), F(-1), F(4)])),
+    ("circulant float", lambda: circulant_pz([1, 0.25]), (TypeError, INEXACT.format("alpha"))),
+    ("circulant empty", lambda: circulant_pz([]), (ValueError, "need at least one coefficient")),
+    ("circulant strings", lambda: circulant_pz(["2", "-1/3", "0"]), circulant_pz([F(2), F(-1, 3), F(0)])),
+    ("circulant generator", lambda: circulant_pz(each([1, "3/6"])), circulant_pz([F(1), F(1, 2)])),
+    ("conditions float", lambda: circulant_conditions([2, 1.0], "nonneg"), (TypeError, INEXACT.format("alpha"))),
+    ("conditions short", lambda: circulant_conditions([2], "nonneg"), (ValueError, "need at least two coefficients")),
+    ("conditions sign", lambda: circulant_conditions([2, 1, -1], "nonneg"),
+     (ValueError, "sign violation: nonneg mode requires all coefficients >= 0")),
+    ("conditions mode", lambda: circulant_conditions([2, 1], "sideways"),
+     (ValueError, "unknown mode 'sideways', expected 'nonneg' or 'nonpos'")),
+    ("conditions strings", lambda: circulant_conditions(["4", "2", "1"], "nonneg"), True),
+    ("conditions generator", lambda: circulant_conditions(each([-2, "-4", "-16/2"]), "nonpos"), True),
+]
+
+
+def test_intake_errors_and_conversions():
+    for label, call, expected in INTAKE:
+        if type(expected) is tuple:  # a TypeDVerification is a tuple subclass
+            exc, message = expected
+            with pytest.raises(exc) as info:
+                call()
+            assert (type(info.value), str(info.value)) == (exc, message), label
+        else:
+            assert call() == expected, label
+
+
 def test_is_tridiagonal_cases():
     assert is_tridiagonal(Matrix.identity(4))
     assert not is_tridiagonal(bdsw_matrix([1, 1, 1], [1, 1], 1))

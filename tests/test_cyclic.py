@@ -36,7 +36,7 @@ from zmx import (
     submatrix,
 )
 from zmx import cyclic
-from zmx.sampling import random_bdsw, random_cyclic_params, random_inverse_cyclic
+from zmx.sampling import _cyclic_pairs, random_bdsw, random_inverse_cyclic
 
 
 def mk(rows):
@@ -363,7 +363,8 @@ def test_singular_iff_d_equals_c():
         if trial % 5 == 0:
             # force d = c through the corner entry
             n = rng.randint(2, 6)
-            diag, sup, _ = random_cyclic_params(rng, n, zeros=False)
+            diag, hops = _cyclic_pairs(rng, n, zeros=False)
+            diag, sup = [Fraction(*x) for x in diag], [Fraction(*h) for h in hops[:-1]]
             prod = Fraction(1)
             for x in diag:
                 prod *= x

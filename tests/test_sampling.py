@@ -80,14 +80,17 @@ def old_random_nonneg(rng, n):
 
 
 def fractions_of(draw):
-    # forced_singular_cyclic_params now returns (diagonal, hops) pairs
+    # (diagonal, hops) pairs as the Fraction lists diag, sup and the corner
     diag, hops = draw
     hops = [Fraction(*h) for h in hops]
     return [Fraction(*x) for x in diag], hops[:-1], hops[-1]
 
 
+# keyed by the sampler each draw replays; the pair draws _rand_pair and
+# _cyclic_pairs replay rand_rational and random_cyclic_params, which were
+# Fraction wrappers around them
 CASES = {
-    "rand_rational": (lambda rng, n: [sampling.rand_rational(rng, -n, n, nonzero=n % 2 == 1)
+    "rand_rational": (lambda rng, n: [Fraction(*sampling._rand_pair(rng, -n, n, nonzero=n % 2 == 1))
                                       for _ in range(n)],
                       lambda rng, n: [old_rand_rational(rng, -n, n, nonzero=n % 2 == 1)
                                       for _ in range(n)]),
@@ -103,7 +106,7 @@ CASES = {
 for kw in ({}, {"zeros": False}, {"sign": "pos"}, {"sign": "neg"}):
     tag = ",".join(f"{k}={v}" for k, v in kw.items())
     CASES[f"random_cyclic_params({tag})"] = (
-        lambda rng, n, kw=kw: sampling.random_cyclic_params(rng, n, **kw),
+        lambda rng, n, kw=kw: fractions_of(sampling._cyclic_pairs(rng, n, **kw)),
         lambda rng, n, kw=kw: old_random_cyclic_params(rng, n, **kw))
     CASES[f"random_inverse_cyclic({tag})"] = (
         lambda rng, n, kw=kw: sampling.random_inverse_cyclic(rng, n, **kw),
