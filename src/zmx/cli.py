@@ -6,7 +6,8 @@ followed by that many rows of rational literals ("-4", "1/2"); JSON is
 {"n": int, "entries": [[string, ...], ...]}. Output sticks to exact
 rational strings except the perron command, which also shows a decimal.
 
-Exit codes: 0 success, 1 failed check or domain error, 2 usage/parse error.
+Exit codes: 0 success, 1 failed check or domain error, 2 usage/parse error,
+141 with nothing on stderr when a reader closes stdout early.
 
 The subcommands are one table, _COMMANDS. A call whose first argument names
 a command is parsed by that command's parser alone; help, no argument, an
@@ -17,6 +18,7 @@ so usage lines and errors read as argparse's subcommand parser gives them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -203,34 +205,25 @@ def emit_report(r: ClassReport, info: CyclicInfo, format: str = "text") -> str:
     return "\n".join(lines)
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _cmd_classify(args) -> int:
-    a = parse_matrix(_read_input(args.file))
-    report, info = gather_info(a, cap=args.cap)
+    report, info = gather_info(args.matrix, cap=args.cap)
     print(emit_report(report, info, "json" if args.json else "text"))
     return 0
 
 
 def _cmd_invert(args) -> int:
-    a = parse_matrix(_read_input(args.file))
     if args.method == "cyclic":
-        inv = cyclic_inverse(a)
+        inv = cyclic_inverse(args.matrix)
     elif args.method == "maybee":
-        inv = _maybee_inverse(a, args.cap)
+        inv = _maybee_inverse(args.matrix, args.cap)
     else:
-        inv = inverse(a)
+        inv = inverse(args.matrix)
     print(serialize_matrix(inv), end="")
     return 0
 
 
 def _cmd_cyclic_check(args) -> int:
-    a = parse_matrix(_read_input(args.file))
+    a = args.matrix
     d, c = cyclic_products(a)
     cyc = is_inverse_cyclic(a)
     print(f"order: {a.n}")
@@ -244,8 +237,7 @@ def _cmd_cyclic_check(args) -> int:
 
 
 def _cmd_digraph(args) -> int:
-    a = parse_matrix(_read_input(args.file))
-    dg = digraph_of(a)
+    dg = digraph_of(args.matrix)
     if args.dot:
         print(to_dot(dg))
         return 0
@@ -304,9 +296,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_perron(args) -> int:
-    b = parse_matrix(_read_input(args.file))
     tol = Fraction(*_literal(args.tol))
-    v = perron_r(b, args.r, tol, cap=args.cap)
+    v = perron_r(args.matrix, args.r, tol, cap=args.cap)
     print(f"r: {args.r}")
     print(f"bound: {v}")
     print(f"bracket: ({v - tol}, {v}]")
@@ -407,20 +398,28 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
-    cap = ORDER_CAP
-    env = os.environ.get("ZMX_ORDER_CAP")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            print(f"error: ZMX_ORDER_CAP must be an integer, got {env!r}", file=sys.stderr)
-            return 2
-        if cap < 1:
-            print("error: ZMX_ORDER_CAP must be positive", file=sys.stderr)
-            return 2
-    args.cap = cap
     try:
-        return args.func(args)
+        env = os.environ.get("ZMX_ORDER_CAP")
+        try:
+            args.cap = ORDER_CAP if env is None else int(env)
+        except ValueError:
+            raise ValueError(f"ZMX_ORDER_CAP must be an integer, got {env!r}") from None
+        if args.cap < 1:
+            raise ValueError("ZMX_ORDER_CAP must be positive")
+        if "file" in args:
+            with (contextlib.nullcontext(sys.stdin) if args.file == "-"
+                  else open(args.file, "r", encoding="utf-8")) as fh:
+                args.matrix = parse_matrix(fh.read())
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # a reader closed stdout: end as a writer stopped by SIGPIPE, silently;
+        # the descriptor goes to devnull so the flush at exit cannot fail again
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
     except MatrixParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -431,7 +430,3 @@ def main(argv=None) -> int:
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -464,13 +464,14 @@ def test_order_cap_env(tmp_path, capsys, monkeypatch):
     assert main(["classify", z3]) == 0
     assert "nonsingular M: yes" in capsys.readouterr().out
 
+    junk = "error: ZMX_ORDER_CAP must be an integer, got 'junk'\n"
     monkeypatch.setenv("ZMX_ORDER_CAP", "junk")
-    assert main(["classify", z3]) == 2
-    capsys.readouterr()
+    assert run_main(["classify", z3]) == (2, "", junk)
+    # a bad cap wins over a missing file
+    assert run_main(["classify", str(tmp_path / "missing.txt")]) == (2, "", junk)
 
     monkeypatch.setenv("ZMX_ORDER_CAP", "0")
-    assert main(["classify", z3]) == 2
-    capsys.readouterr()
+    assert run_main(["classify", z3]) == (2, "", "error: ZMX_ORDER_CAP must be positive\n")
 
     monkeypatch.setenv("ZMX_ORDER_CAP", "12")
     assert main(["classify", low3]) == 0
@@ -574,21 +575,99 @@ def test_main_builds_only_the_invoked_commands_parser(tmp_path, capsys, monkeypa
     assert len(built) == 9
 
 
-def test_module_entry_point_runs():
-    # the child imports the same zmx as this process, installed or not
+def module_env():
+    """The environment of a python -m zmx child, which imports the same zmx
+    as this process, installed or not."""
     src = str(Path(zmx.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "zmx", "classify", "-"],
         input=A3_TEXT,
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=module_env(),
     )
     assert proc.returncode == 0
     assert "verdict: Neither" in proc.stdout
+
+
+def test_module_entry_point_exits_141_on_a_closed_stdout():
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # its first flush fails with EPIPE every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zmx", "classify", "-"],
+            input=A3_TEXT,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=module_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone. Block buffered, a pipe takes writes
+    and fails at the flush; line buffered, it fails at the first write."""
+
+    def __init__(self, fails_on):
+        self.fails_on = fails_on
+
+    def write(self, text):
+        if self.fails_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+EVERY_COMMAND = [
+    ["classify", "A3"],
+    ["classify", "--json", "A3"],
+    ["invert", "--method", "oracle", "A3"],
+    ["invert", "--method", "cyclic", "A3"],
+    ["invert", "--method", "maybee", "A3"],
+    ["cyclic-check", "A3"],
+    ["digraph", "A3"],
+    ["digraph", "--dot", "A3"],
+    ["gen", "typed", "--params=-4,-3,-2,-1"],
+    ["gen", "cyclic", "--diag=2,1,-2,1", "--super=-2,2,0", "--corner=2"],
+    ["gen", "bdsw", "--diag=-1,-1,1", "--super=-1,-1", "--corner=-2"],
+    ["gen", "circulant", "--alpha=-1,-2,-4"],
+    ["verify", "--theorem", "bdsw-z", "--n", "2..3", "--trials", "2"],
+    ["perron", "--r", "2", "P5"],
+]
+
+
+@pytest.mark.parametrize("fails_on", ["write", "flush"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, argv, fails_on):
+    files = {"A3": write(tmp_path, "a3.txt", A3_TEXT), "P5": write(tmp_path, "p5.txt", P5_TEXT)}
+    argv = [files.get(word, word) for word in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(ClosedStdout(fails_on)), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (141, "")
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["classify", "--json"], ["digraph"],
+                                  ["perron", "--r", "2"]])
+def test_dash_reads_the_matrix_from_stdin(tmp_path, monkeypatch, argv):
+    expected = run_main(argv + [write(tmp_path, "p5.txt", P5_TEXT)])
+    assert expected[0] == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(P5_TEXT))
+    assert run_main(argv + ["-"]) == expected
 
 
 def test_console_script_target_resolves():

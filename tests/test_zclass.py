@@ -8,6 +8,7 @@ the two characterizations stay independently verified.
 import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -413,6 +414,38 @@ def test_perron_r_bisects_only_a_subset_that_can_win(monkeypatch):
         perron_r(DOUBLE_ROOT, 4, tol)
         assert calls == [4] * 5
         calls.clear()
+
+
+def test_perron_r_restarts_from_the_top_point_when_newton_lands_below_rho(monkeypatch):
+    # a wrong characteristic polynomial, y^r, walks Newton down to the best
+    # point so far, below rho; the bisection must then start again from the
+    # top point and certify the same value
+    lines, start = inspect.getsourcelines(zclass.perron_r)
+    fallback = start + [ln.strip() for ln in lines].index("hi = 1 << depth")
+    cases = [(b, r, tol)
+             for b, r in ((mk([[0, 1, 2], [3, 0, 1], [1, 1, 0]]), 2), (DOUBLE_ROOT, 2),
+                          (DOUBLE_ROOT, 4), (mk([[1, 2, 0], [0, 1, 5], [3, 0, 2]]), 3))
+             for tol in (Fraction(1, 7), TOL, TOL60)]
+    want = [perron_r(*case) for case in cases]
+    monkeypatch.setattr(zclass, "_charpoly", lambda g: [1] + [0] * len(g))
+    code, hits = zclass.perron_r.__code__, []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == fallback:
+            hits.append(frame.f_lineno)
+        return trace
+
+    for case, value in zip(cases, want):
+        hits.clear()
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            got = perron_r(*case)
+        finally:
+            sys.settrace(previous)
+        assert got == value and hits
 
 
 def test_classify_identity():
