@@ -1,6 +1,6 @@
 """Command line layer: both input formats, report serialization, subcommand
 behavior and exit codes. End-to-end calls go through main(argv) in-process;
-one subprocess check covers the python -m entry point."""
+two subprocess checks cover the python -m entry point."""
 
 import argparse
 import contextlib
