@@ -126,7 +126,8 @@ def _parse_json(text: str) -> Matrix:
 
 
 def parse_matrix(text: str) -> Matrix:
-    """Parse either accepted format, sniffing JSON by the leading brace."""
+    """Parse either accepted format, JSON by its leading brace, after one byte-order mark."""
+    text = text.removeprefix("\ufeff")
     try:
         return (_parse_json if text.lstrip().startswith("{") else _parse_text)(text)
     except MatrixParseError:

@@ -11,7 +11,7 @@ the circulant it equals; circulant_conditions tests the parameter conditions
 under which its inverse is a bdsw M- or N-matrix.
 
 Each parameter enters once, through matrix._ratio, as a lowest-terms integer
-pair; only circulant_conditions reads Fractions, for its power relation.
+pair, and every constructor and test reads them cleared to one denominator.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from zmx.cyclic import _cycle_grid
 from zmx.errors import ORDER_CAP
-from zmx.matrix import Matrix, _cleared, _exact, _is_index, _ratio, inverse
+from zmx.matrix import Matrix, _cleared, _is_index, _ratio, inverse
 from zmx.zclass import is_z, l_index
 
 
@@ -170,27 +170,26 @@ def circulant_conditions(alpha: Sequence, mode: str) -> bool:
     same power relation. A parameter list violating the mode's sign
     restriction is a caller error, not a False result.
     """
-    coeffs = [_exact(x, "alpha") for x in alpha]
+    coeffs = _params(alpha, "alpha")
     n = len(coeffs)
     if n < 2:
         raise ValueError("need at least two coefficients")
+    # K > 0, so the cleared row g = K*alpha has alpha's signs and order
+    _, (g,) = _cleared([coeffs])
     if mode == "nonneg":
-        if any(x < 0 for x in coeffs):
+        if any(x < 0 for x in g):
             raise ValueError("sign violation: nonneg mode requires all coefficients >= 0")
-        if not (coeffs[0] > coeffs[1] > 0):
+        if not (g[0] > g[1] > 0):
             return False
     elif mode == "nonpos":
-        if any(x > 0 for x in coeffs):
+        if any(x > 0 for x in g):
             raise ValueError("sign violation: nonpos mode requires all coefficients <= 0")
-        if not (coeffs[1] < coeffs[0] < 0):
+        if not (g[1] < g[0] < 0):
             return False
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'nonneg' or 'nonpos'")
-    a1, a2 = coeffs[0], coeffs[1]
-    for r in range(3, n + 1):
-        if coeffs[r - 1] != a2 ** (r - 1) / a1 ** (r - 2):
-            return False
-    return True
+    # the power relation times K^(r-2) * alpha_1^(r-2), which is nonzero
+    return all(g[r - 1] * g[0] ** (r - 2) == g[1] ** (r - 1) for r in range(3, n + 1))
 
 
 def is_tridiagonal(a: Matrix) -> bool:

@@ -13,7 +13,7 @@ grinding. is_unipathic stops at the second path to any vertex, so it is
 polynomial and uncapped. maybee_entry does not walk the paths: it sums the
 path formula by vertex set in O(n^2 * 2^n) integer work, its off-path minors
 from one sweep over their prefixes only, polynomially many for a unipathic
-(bdsw) matrix; _maybee_inverse sums every row, all rows' sets in one sweep.
+(bdsw) matrix; _maybee_inverse sums all rows, the diagonal as the empty path, in one sweep.
 """
 
 from __future__ import annotations
@@ -160,21 +160,21 @@ def is_unipathic(d: Digraph) -> bool:
 
 def _path_sums(grid: list[list[int]], i: int, through) -> dict[int, dict[int, int]]:
     """{vertex mask: {endpoint: sum of (-1)^l(p) * G[p]}} over the simple paths
-    p from i whose inner vertices all lie in through, to any endpoint but i.
+    p from i, the empty path included, whose inner vertices all lie in through.
 
     Indices are 0-based, and bit k of a mask is vertex k, endpoints included.
     A frontier DP takes one edge per step and keeps, for each vertex mask,
     the signed product sum of the paths ending at each vertex, so paths on
     the same vertex set are summed together: O(n^2 * 2^n) integer work
     rather than one walk per path. through = V - {i, j} gives the paths from
-    i to j; through = V - {i} gives every endpoint of row i at once.
+    i to j; through = V - {i} gives all of row i, the l = 0 term {1 << i: {i: 1}} too.
     """
     go = sum(1 << k for k in through) | 1 << i
     # only i and the vertices in through are left again; no path re-enters i
     adj = [[(w, 1 << w, g) for w, g in enumerate(row) if g and w != u and w != i]
            if go >> u & 1 else [] for u, row in enumerate(grid)]
-    sums: dict[int, dict[int, int]] = {}
     frontier: dict[int, dict[int, int]] = {1 << i: {i: 1}}
+    sums = dict(frontier)
     while frontier:
         step: dict[int, dict[int, int]] = {}
         for on, ends in frontier.items():
@@ -230,7 +230,7 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     sums = {on: ends[j] for on, ends in _path_sums(grid, i, others).items() if ends.get(j)}
     full = (1 << n) - 1
     offs = {full ^ on for on in sums}
-    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, others, offs)}
+    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, offs)}
     return Fraction(lcm * sum(s * minors[full ^ on] for on, s in sums.items()), d_g)
 
 
@@ -238,10 +238,10 @@ def _maybee_inverse(a: Matrix, cap: int = ORDER_CAP) -> Matrix:
     """inverse(a) by the path formula of maybee_entry, one row at a time.
 
     det G is eliminated once and row i is one _path_sums from i. One sweep
-    over every row's off-path sets and the sets V - {i} gives the minors;
-    each state (vertex mask, endpoint j) adds its sum times det G[V - mask]
-    to entry (i, j). Errors come in maybee_entry's order: SingularMatrixError,
-    then the order cap, which an order-1 matrix (a diagonal only) never meets.
+    over every row's off-path sets gives the minors; each state (vertex mask,
+    endpoint j), the empty path's at j = i too, adds its sum times det
+    G[V - mask] to entry (i, j). Errors come in maybee_entry's order:
+    SingularMatrixError, then the order cap, never met at order 1.
     """
     n, lcm, grid = a.n, a._lcm, a._grid
     d_g = _det_g(grid)
@@ -249,12 +249,11 @@ def _maybee_inverse(a: Matrix, cap: int = ORDER_CAP) -> Matrix:
         check_order_cap(n, cap)
     full = (1 << n) - 1
     sums = [_path_sums(grid, i, [k for k in range(n) if k != i]) for i in range(n)]
-    offs = {full ^ on for i, row in enumerate(sums) for on in (1 << i, *row)}
-    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, range(n), offs)}
+    offs = {full ^ on for row in sums for on in row}
+    minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, offs)}
     rows = []
-    for i, row_sums in enumerate(sums):
+    for row_sums in sums:
         row = [0] * n
-        row[i] = minors[full ^ 1 << i]
         for on, ends in row_sums.items():
             m = minors[full ^ on]
             for j, s in ends.items():

@@ -307,15 +307,14 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * m[-1][n - 1]
 
 
-def _principal_minors(grid, idx, wanted: Optional[Iterable[int]] = None) -> Iterator[tuple[int, int, int]]:
-    """Yield (order, mask, det grid[S, S]) for the nonempty subsets S of the
-    ascending 0-based index list idx: orders ascending, and within an order
-    the sets in combinations order over idx. Bit k of mask is index k. Given
-    wanted, masks of subsets of idx, only the prefixes (in idx order) of the
-    wanted sets are yielded, as each is read off the one before; idx shrinks
-    to their union.
+def _principal_minors(grid, wanted: Optional[Iterable[int]] = None) -> Iterator[tuple[int, int, int]]:
+    """Yield (order, mask, det grid[S, S]) for the nonempty sets S of 0-based
+    indices: orders ascending, and within an order the sets in combinations
+    order. Bit k of mask is index k. Given wanted, a collection of masks,
+    only the prefixes (in index order) of the wanted sets are yielded, as
+    each is read off the one before, and the sweep runs over their union.
 
-    Each set S keeps its Bareiss-reduced grid over the positions of idx after
+    Each set S keeps its Bareiss-reduced grid over the swept indices after
     S's last, whose entry (i, j) is det grid[S+i | S+j] by Sylvester's
     identity. The minor of S+p is that grid's diagonal entry at p, and one
     fraction-free step, divided by det grid[S], gives the grid of S+p: O(1)
@@ -323,7 +322,7 @@ def _principal_minors(grid, idx, wanted: Optional[Iterable[int]] = None) -> Iter
     there are eliminated from scratch. A level's grids are built only once
     the next order is asked for.
     """
-    idx, keep = list(idx), None
+    idx, keep = list(range(len(grid))), None
     if wanted is not None:
         # strip each set's top index until a prefix already kept
         keep, union = set(), 0

@@ -81,7 +81,7 @@ def _minor_signs(a: Matrix, max_order: Optional[int] = None) -> Iterator[tuple[i
     The signs of matrix._principal_minors on the integer grid G = L*A;
     scaling by the positive integer L never changes a minor's sign.
     """
-    for order, _, minor in _principal_minors(a._grid, range(a.n)):
+    for order, _, minor in _principal_minors(a._grid):
         if max_order is not None and order > max_order:
             return
         yield order, (minor > 0) - (minor < 0)

@@ -670,6 +670,26 @@ def test_dash_reads_the_matrix_from_stdin(tmp_path, monkeypatch, argv):
     assert run_main(argv + ["-"]) == expected
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch):
+    # a UTF-8 file saved with a byte-order mark reads as it does without one,
+    # in both formats and on stdin; a mark anywhere else is still bad input
+    def utf8(name, text):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        return str(tmp_path / name)
+
+    BOM = "\ufeff"
+    doc = json.dumps({"n": 3, "entries": [[1, -1, -1], [-2, 1, 1], [2, -2, -1]]})
+    for text in (A3_TEXT, doc):
+        plain = run_main(["classify", "--json", utf8("plain", text)])
+        assert plain[0] == 0
+        assert run_main(["classify", "--json", utf8("bom", BOM + text)]) == plain
+        monkeypatch.setattr(sys, "stdin", io.StringIO(BOM + text))
+        assert run_main(["classify", "--json", "-"]) == plain
+        for bad in (BOM * 2 + text, " " + BOM + text, text.replace("1", BOM + "1", 1)):
+            code, out, err = run_main(["classify", utf8("bad", bad)])
+            assert (code, out) == (2, "") and err.startswith("parse error")
+
+
 def test_console_script_target_resolves():
     # the zmx command an install creates calls [project.scripts]'s target
     tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zmx import (
@@ -288,6 +288,69 @@ def test_circulant_conditions_rejections():
         circulant_conditions([2, 1], "sideways")
     with pytest.raises(ValueError):
         circulant_conditions([2], "nonneg")
+
+
+def fraction_circulant_conditions(alpha, mode):
+    """circulant_conditions on Fractions: the signs, the leading pair's order,
+    then alpha_r = alpha_2^(r-1) / alpha_1^(r-2) for r = 3..n."""
+    a = [F(x) for x in alpha]
+    if len(a) < 2:
+        raise ValueError("need at least two coefficients")
+    if mode == "nonneg":
+        if any(x < 0 for x in a):
+            raise ValueError("sign violation: nonneg mode requires all coefficients >= 0")
+        if not a[0] > a[1] > 0:
+            return False
+    elif mode == "nonpos":
+        if any(x > 0 for x in a):
+            raise ValueError("sign violation: nonpos mode requires all coefficients <= 0")
+        if not a[1] < a[0] < 0:
+            return False
+    else:
+        raise ValueError(f"unknown mode {mode!r}, expected 'nonneg' or 'nonpos'")
+    return all(a[r - 1] == a[1] ** (r - 1) / a[0] ** (r - 2) for r in range(3, len(a) + 1))
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def circulant_alphas(draw):
+    """A mode and a list that meets its power relation, or the same list with
+    one coefficient zeroed, sign-flipped or redrawn."""
+    n = draw(st.integers(2, 8))
+    mode = draw(st.sampled_from(["nonneg", "nonpos"]))
+    a1, a2 = (abs(draw(RATIONALS)) or F(1) for _ in range(2))
+    if mode == "nonpos":
+        a1, a2 = -a1, -a2
+    alpha = [a1, a2] + [a2 ** (r - 1) / a1 ** (r - 2) for r in range(3, n + 1)]
+    k = draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["keep", "zero", "flip", "redraw"]))
+    if change != "keep":
+        alpha[k] = {"zero": 0, "flip": -alpha[k], "redraw": draw(RATIONALS)}[change]
+    return alpha, mode
+
+
+@settings(max_examples=400, deadline=None)
+@given(circulant_alphas())
+@example(([2, 1], "nonneg"))
+@example(([-1, -2], "nonpos"))
+@example(([2, 1, 0], "nonneg"))
+@example(([0, 0, 0], "nonpos"))
+@example(([2, 1, F(1, 2), F(1, 4)], "nonneg"))
+@example(([2, 1, F(1, 2), F(1, 5)], "nonneg"))
+@example(([-1, -2, -4, 8], "nonpos"))
+@example(([2, 1], "sideways"))
+def test_circulant_conditions_match_the_fraction_form(case):
+    alpha, mode = case
+    assert outcome(circulant_conditions, alpha, mode) == outcome(fraction_circulant_conditions, alpha, mode)
 
 
 def each(xs):

@@ -285,20 +285,21 @@ def counted_eliminations(monkeypatch):
     return calls
 
 
-def swept_sets(idx, wanted=None):
-    """The index tuples the minor sweep visits: every nonempty subset of idx,
-    or, given wanted, the nonempty prefixes (in idx order) of the wanted sets."""
+def swept_sets(n, wanted=None):
+    """The index tuples the minor sweep of an order-n grid visits: every
+    nonempty subset, or, given wanted, the nonempty prefixes (in index
+    order) of the wanted sets."""
     if wanted is None:
-        return {c for k in range(1, len(idx) + 1) for c in combinations(idx, k)}
-    members = [tuple(k for k in idx if mask >> k & 1) for mask in wanted]
+        return {c for k in range(1, n + 1) for c in combinations(range(n), k)}
+    members = [tuple(k for k in range(n) if mask >> k & 1) for mask in wanted]
     return {c[:q] for c in members for q in range(1, len(c) + 1)}
 
 
-def sweep_fallbacks(grid, idx, wanted=None):
+def sweep_fallbacks(grid, wanted=None):
     """How many of the sets it visits the minor sweep eliminates from
-    scratch: those with a zero minor on a prefix (in idx order) at least two
-    shorter, since a set's reduced grid is divided by its parent's minor."""
-    sets = swept_sets(idx, wanted)
+    scratch: those with a zero minor on a prefix (in index order) at least
+    two shorter, since a set's reduced grid is divided by its parent's minor."""
+    sets = swept_sets(len(grid), wanted)
     minors = {c: _bareiss([[grid[r][q] for q in c] for r in c]) for c in sets}
     return sum(1 for c in sets if any(minors[c[:q]] == 0 for q in range(1, len(c) - 1)))
 
@@ -318,7 +319,7 @@ def test_maybee_entry_shares_minors_between_paths(monkeypatch):
         if det(a) != 0:
             break
     want = inverse(a).entry(2, 6)
-    fallbacks = sweep_fallbacks(a._grid, [0, 2, 3, 4, 6], off_path_sets(a, 1, 5))
+    fallbacks = sweep_fallbacks(a._grid, off_path_sets(a, 1, 5))
     calls = counted_eliminations(monkeypatch)
     assert maybee_entry(a, 2, 6) == want
     # det G, then the one sweep over the five vertices other than the
@@ -338,6 +339,20 @@ def test_maybee_entry_off_the_diagonal_eliminates_only_det_g(monkeypatch):
     assert calls == [n]
 
 
+def test_maybee_entry_on_the_diagonal_eliminates_det_g_and_one_minor(monkeypatch):
+    # entry (i, i) is det G[V - i] / det G: one elimination each, no sweep
+    rng = random.Random("maybee-diagonal")
+    cases = [(a, inverse(a)) for a in (random_nonsingular(rng, n) for n in range(1, 9))]
+    sweeps = counted_sweeps(monkeypatch)
+    calls = counted_eliminations(monkeypatch)
+    for a, inv in cases:
+        for i in range(1, a.n + 1):
+            calls.clear()
+            assert maybee_entry(a, i, i) == inv.entry(i, i)
+            assert calls == ([a.n, a.n - 1] if a.n > 1 else [1])
+    assert sweeps == []
+
+
 @pytest.mark.parametrize("kind", ["dense", "bdsw", "zero-heavy"])
 def test_maybee_inverse_eliminates_the_full_grid_once(monkeypatch, kind):
     rng = random.Random(f"maybee-inverse|{kind}")
@@ -352,8 +367,8 @@ def test_maybee_inverse_eliminates_the_full_grid_once(monkeypatch, kind):
             if det(a) == 0:
                 continue
         sums = [digraph._path_sums(a._grid, i, [k for k in range(n) if k != i]) for i in range(n)]
-        offs = {(1 << n) - 1 ^ on for i, row in enumerate(sums) for on in (1 << i, *row)}
-        cases.append((a, inverse(a), sweep_fallbacks(a._grid, range(n), offs)))
+        offs = {(1 << n) - 1 ^ on for row in sums for on in row}
+        cases.append((a, inverse(a), sweep_fallbacks(a._grid, offs)))
     calls = counted_eliminations(monkeypatch)
     for a, inv, fallbacks in cases:
         calls.clear()
@@ -372,7 +387,7 @@ def test_maybee_inverse_of_a_bdsw_matrix_sweeps_polynomially_many_sets(monkeypat
     for a, inv in cases:
         sweeps.clear()
         assert digraph._maybee_inverse(a, cap=32) == inv
-        assert sweeps == [[list(range(a.n)), (a.n ** 3 + 5 * a.n) // 6 - 1]]
+        assert sweeps == [[(1 << a.n) - 1, (a.n ** 3 + 5 * a.n) // 6 - 1]]
 
 
 def test_maybee_inverse_fails_as_maybee_entry_does():
@@ -394,9 +409,11 @@ def test_path_sums_group_the_listed_paths_by_vertex_set(a):
         return {m: ends[j] for m, ends in sums.items() if ends.get(j)}
 
     for i in range(n):
-        # the row form passes through every vertex but i
+        # the row form passes through every vertex but i, and i ends only
+        # the empty path
         row = digraph._path_sums(grid, i, [k for k in range(n) if k != i])
-        assert all(i not in ends for ends in row.values())
+        assert row[1 << i] == {i: 1}
+        assert all(i not in ends for on, ends in row.items() if on != 1 << i)
         for j in range(n):
             if i == j:
                 continue
@@ -418,19 +435,20 @@ def test_path_sums_group_the_listed_paths_by_vertex_set(a):
 
 @settings(max_examples=150, deadline=None)
 @given(zero_heavy(), st.data())
-def test_minor_sweep_yields_every_principal_minor_of_an_index_list(a, data):
+def test_minor_sweep_yields_every_principal_minor_or_the_wanted_prefixes(a, data):
     # every subset without wanted, else exactly the prefixes of the wanted
-    # sets, in the same order
+    # sets, in the same order; the wanted sets lie in a drawn index subset,
+    # so the sweep runs over fewer indices than the grid has
     n, lcm = a.n, a._lcm
-    idx = sorted(data.draw(st.sets(st.integers(0, n - 1))))
-    masks = [sum(1 << c for c in s) for k in range(len(idx) + 1) for s in combinations(idx, k)]
+    within = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    masks = [sum(1 << c for c in s) for k in range(len(within) + 1) for s in combinations(within, k)]
     wanted = data.draw(st.one_of(st.none(), st.just([]), st.lists(st.sampled_from(masks))))
-    sets = swept_sets(idx, wanted)
+    sets = swept_sets(n, wanted)
     want = [
         (k, sum(1 << c for c in s), principal_minor(a, [c + 1 for c in s]) * lcm ** k)
-        for k in range(1, len(idx) + 1) for s in combinations(idx, k) if s in sets
+        for k in range(1, n + 1) for s in combinations(range(n), k) if s in sets
     ]
-    assert list(_principal_minors(a._grid, idx, wanted)) == want
+    assert list(_principal_minors(a._grid, wanted)) == want
 
 
 def test_maybee_entry_at_the_cap_order(monkeypatch):
@@ -441,7 +459,7 @@ def test_maybee_entry_at_the_cap_order(monkeypatch):
                            [(-1) ** k * (1 + k % 2) for k in range(n - 1)], 3)
     assert all(all(row) for row in a._grid)
     want = inverse(a).entry(3, 9)
-    fallbacks = sweep_fallbacks(a._grid, [k for k in range(n) if k not in (2, 8)], off_path_sets(a, 2, 8))
+    fallbacks = sweep_fallbacks(a._grid, off_path_sets(a, 2, 8))
     calls = counted_eliminations(monkeypatch)
     assert maybee_entry(a, 3, 9) == want
     assert calls[0] == n
@@ -449,12 +467,14 @@ def test_maybee_entry_at_the_cap_order(monkeypatch):
 
 
 def counted_sweeps(monkeypatch):
-    """Record the index list and the number of sets visited of every sweep."""
+    """Record the union of the sets visited, as a mask, and their number, of
+    every sweep."""
     calls = []
 
-    def counted(grid, idx, wanted=None):
-        calls.append([list(idx), 0])
-        for item in _principal_minors(grid, idx, wanted):
+    def counted(grid, wanted=None):
+        calls.append([0, 0])
+        for item in _principal_minors(grid, wanted):
+            calls[-1][0] |= item[1]
             calls[-1][1] += 1
             yield item
 
@@ -469,8 +489,7 @@ def test_maybee_entry_sweeps_only_the_prefixes_of_a_bdsw_path_set(monkeypatch):
     a = random_bdsw(random.Random("maybee-sparse"), n)
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     want = inverse(a)
-    fallbacks = {(i, j): sweep_fallbacks(a._grid, [k for k in range(n) if k not in (i - 1, j - 1)],
-                                         off_path_sets(a, i - 1, j - 1)) for i, j in cells}
+    fallbacks = {(i, j): sweep_fallbacks(a._grid, off_path_sets(a, i - 1, j - 1)) for i, j in cells}
     sweeps = counted_sweeps(monkeypatch)
     calls = counted_eliminations(monkeypatch)
     for i, j in cells:
@@ -479,7 +498,7 @@ def test_maybee_entry_sweeps_only_the_prefixes_of_a_bdsw_path_set(monkeypatch):
         assert maybee_entry(a, i, j) == want.entry(i, j)
         (off,) = off_path_sets(a, i - 1, j - 1)
         # one sweep over the path set's prefixes; det G and the fallbacks
-        assert len(sweeps) == 1 and sweeps[0][1] == off.bit_count() <= n - 2
+        assert sweeps == [[off, off.bit_count()]] and off.bit_count() <= n - 2
         assert calls[0] == n and len(calls) == 1 + fallbacks[i, j]
 
 
@@ -488,7 +507,8 @@ def test_maybee_entry_sweeps_a_dense_entry(monkeypatch):
     want = inverse(a).entry(2, 6)
     sweeps = counted_sweeps(monkeypatch)
     assert maybee_entry(a, 2, 6) == want
-    assert sweeps == [[[0, 2, 3, 4, 6], len(swept_sets([0, 2, 3, 4, 6], off_path_sets(a, 1, 5)))]]
+    # the sweep stays off the endpoints v2 and v6
+    assert sweeps == [[0b1011101, len(swept_sets(7, off_path_sets(a, 1, 5)))]]
 
 
 @st.composite
