@@ -296,13 +296,37 @@ def _cmd_verify(args) -> int:
     return 0 if summary.ok else 1
 
 
+def _decimal(v: Fraction) -> str:
+    """Nonnegative v as format(float(v), ".12g") writes it, but rounded half
+    to even from v itself, so no magnitude overflows or underflows."""
+    if not v:
+        return "0"
+    # 10^e <= v < 10^(e+1) once rounded to 12 digits; the estimate is off by at most one
+    e = (v.numerator.bit_length() - v.denominator.bit_length()) * 30103 // 100000
+    while True:
+        m = round(v * Fraction(10) ** (11 - e))
+        if m >= 10**12:
+            e += 1
+        elif m < 10**11:
+            e -= 1
+        else:
+            break
+    digits = str(m).rstrip("0")
+    if e < -4 or e >= 12:
+        return f"{digits[0]}{'.' * (len(digits) > 1)}{digits[1:]}e{e:+03d}"
+    if e < 0:
+        return "0." + "0" * (-e - 1) + digits
+    digits = digits.ljust(e + 1, "0")
+    return digits[:e + 1] + "." * (len(digits) > e + 1) + digits[e + 1:]
+
+
 def _cmd_perron(args) -> int:
     tol = Fraction(*_literal(args.tol))
     v = perron_r(args.matrix, args.r, tol, cap=args.cap)
     print(f"r: {args.r}")
     print(f"bound: {v}")
     print(f"bracket: ({v - tol}, {v}]")
-    print(f"decimal: {float(v):.12g}")
+    print(f"decimal: {_decimal(v)}")
     return 0
 
 

@@ -10,10 +10,12 @@ DFS, _walk, on an explicit stack rather than the call stack. Path enumeration
 lists every path, so it carries a hard order cap (the dense worst case is
 factorial); exceeding the cap raises OrderCapError rather than silently
 grinding. is_unipathic stops at the second path to any vertex, so it is
-polynomial and uncapped. maybee_entry does not walk the paths: it sums the
-path formula by vertex set in O(n^2 * 2^n) integer work, its off-path minors
-from one sweep over their prefixes only, polynomially many for a unipathic
-(bdsw) matrix; _maybee_inverse sums all rows, the diagonal as the empty path, in one sweep.
+polynomial and uncapped. maybee_entry does not walk the paths: one frontier
+DP, _path_sums, sums the path formula by vertex set in O(n^2 * 2^n) integer
+work, handing an entry only the sums of the paths into j as it grows them,
+and the off-path minors come from one sweep over their prefixes only,
+polynomially many for a unipathic (bdsw) matrix; _maybee_inverse takes every
+state of each row, the diagonal as the empty path, and sums all rows in one sweep.
 """
 
 from __future__ import annotations
@@ -158,32 +160,49 @@ def is_unipathic(d: Digraph) -> bool:
     return True
 
 
-def _path_sums(grid: list[list[int]], i: int, through) -> dict[int, dict[int, int]]:
-    """{vertex mask: {endpoint: sum of (-1)^l(p) * G[p]}} over the simple paths
-    p from i, the empty path included, whose inner vertices all lie in through.
+def _path_sums(grid: list[list[int]], i: int, through, into=None) -> dict:
+    """Signed product sums (-1)^l(p) * G[p] over the simple paths p from i
+    whose inner vertices all lie in through, which holds neither i nor into,
+    summed by vertex set.
 
     Indices are 0-based, and bit k of a mask is vertex k, endpoints included.
-    A frontier DP takes one edge per step and keeps, for each vertex mask,
-    the signed product sum of the paths ending at each vertex, so paths on
-    the same vertex set are summed together: O(n^2 * 2^n) integer work
-    rather than one walk per path. through = V - {i, j} gives the paths from
-    i to j; through = V - {i} gives all of row i, the l = 0 term {1 << i: {i: 1}} too.
+    A frontier DP takes one edge per step onto through and keeps, for each
+    vertex mask, the sum of the paths ending at each vertex, so paths on the
+    same vertex set are summed together: O(n^2 * 2^n) integer work rather
+    than one walk per path. Without into it returns every state,
+    {mask: {endpoint: sum}}, the empty path {1 << i: {i: 1}} included; the
+    row caller passes through = V - {i}. Given into = j, it returns
+    {mask: sum} over the paths into j only, the nonzero sums: each frontier
+    mask adds its last edge into j as it is expanded, the empty path's
+    being the edge i -> j itself.
     """
     go = sum(1 << k for k in through) | 1 << i
-    # only i and the vertices in through are left again; no path re-enters i
-    adj = [[(w, 1 << w, g) for w, g in enumerate(row) if g and w != u and w != i]
+    adj = [[(w, 1 << w, row[w]) for w in through if row[w] and w != u]
            if go >> u & 1 else [] for u, row in enumerate(grid)]
     frontier: dict[int, dict[int, int]] = {1 << i: {i: 1}}
-    sums = dict(frontier)
+    if into is None:
+        sums: dict = dict(frontier)
+    else:
+        sums, col, bit_j = {}, [row[into] for row in grid], 1 << into
     while frontier:
         step: dict[int, dict[int, int]] = {}
         for on, ends in frontier.items():
+            s = 0
             for u, signed in ends.items():
+                if into is not None:
+                    s += signed * col[u]
                 for w, bit, g in adj[u]:
                     if not on & bit:
-                        row = step.setdefault(on | bit, {})
-                        row[w] = row.get(w, 0) - signed * g
-        sums.update(step)
+                        nb = on | bit
+                        row = step.get(nb)
+                        if row is None:
+                            step[nb] = {w: -signed * g}
+                        else:
+                            row[w] = row.get(w, 0) - signed * g
+            if s:
+                sums[on | bit_j] = -s
+        if into is None:
+            sums.update(step)
         frontier = step
     return sums
 
@@ -211,7 +230,8 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
     The sum runs in integers: with A = G / L for the lcm L of the entry
     denominators, each term is L * G[p] * det G[V(p)] / det G. Paths with
     the same vertex set share their minor, so _path_sums groups the signed
-    products (-1)^l(p) G[p] by vertex set in O(n^2 * 2^n) integer work. One
+    products (-1)^l(p) G[p] of the paths into j by vertex set in
+    O(n^2 * 2^n) integer work, never extending a path past j. One
     principal-minor sweep, asked for the off-path sets, visits only their
     prefixes, each in O(1) integer work (a bdsw entry's one path misses k
     vertices: k sets); only det G and sets below a zero minor are eliminated.
@@ -227,7 +247,7 @@ def maybee_entry(a: Matrix, i: int, j: int, cap: int = ORDER_CAP) -> Fraction:
         return Fraction(lcm * (_bareiss([[grid[r][c] for c in others] for r in others])
                                if others else 1), d_g)
     check_order_cap(n, cap)
-    sums = {on: ends[j] for on, ends in _path_sums(grid, i, others).items() if ends.get(j)}
+    sums = _path_sums(grid, i, others, j)
     full = (1 << n) - 1
     offs = {full ^ on for on in sums}
     minors = {0: 1} | {mask: m for _, mask, m in _principal_minors(grid, offs)}

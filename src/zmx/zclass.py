@@ -296,7 +296,8 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
     by minor signs alone, no eigenvalue computation. A submatrix's value is
     the least point >= rho of its grid h * k / 2^K, h its largest row sum and
     K the first level with h / 2^K < tol. Largest h first, a weak-M test
-    decides whether it can beat the best so far; Newton steps from above on
+    decides whether it can beat the best so far, unless a Collatz-Wielandt
+    bound on rho already shows it cannot; Newton steps from above on
     its characteristic polynomial, increasing and convex right of rho
     (Gauss-Lucas), narrow the bracket, and bisection on weak-M tests closes
     and certifies it.
@@ -327,9 +328,13 @@ def perron_r(b: Matrix, r: int, tol=Fraction(1, 10**9), cap: int = ORDER_CAP) ->
             return _weak_m(m)[0]
 
         # h >= rho, so the top point passes; the first test, at the largest
-        # point <= best, passes exactly when this submatrix cannot win
+        # point <= best, passes exactly when this submatrix cannot win. It is
+        # skipped when the Collatz-Wielandt bound rho <= max (G x)_i / x_i,
+        # x = (G + I) 1 > 0, already puts rho at or below that point
         lo, hi = (p * lcm << depth) // (q * s), 1 << depth
-        if weak(lo):
+        x = [sum(row) + 1 for row in sub]
+        if all(sum(map(mul, row, x)) << depth <= s * lo * xi
+               for row, xi in zip(sub, x)) or weak(lo):
             continue
         # Newton on f(y) = det(yI - 2^K G) from y = s * hi >= 2^K rho lands in
         # [2^K rho, y); its coefficients are G's scaled by powers of 2^K

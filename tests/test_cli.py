@@ -4,6 +4,7 @@ two subprocess checks cover the python -m entry point."""
 
 import argparse
 import contextlib
+import decimal
 import importlib
 import io
 import itertools
@@ -25,6 +26,7 @@ import zmx
 from zmx import ORDER_CAP, Matrix, MatrixParseError, bdsw_matrix, inverse, type_d
 from zmx.cli import (
     _COMMANDS,
+    _decimal,
     _full_parser,
     _parse_args,
     emit_report,
@@ -452,6 +454,37 @@ def test_perron_command(tmp_path, capsys):
     # r beyond the order is a usage problem
     assert main(["perron", "--r", "4", path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, shown", [
+    ("1" + "0" * 400, "1e+400"),  # float(v) overflows
+    ("1/1" + "0" * 400, "1e-400"),  # float(v) is 0
+    ("1/1" + "0" * 320, "1e-320"),  # float(v) is subnormal, 9.99988867183e-321
+    ("123456789/1000", "123456.789"),
+])
+def test_perron_prints_the_decimal_at_any_magnitude(tmp_path, entry, shown):
+    path = write(tmp_path, "b.txt", f"1\n{entry}\n")
+    v = Fraction(entry)
+    assert run_main(["perron", "--r", "1", path]) == (
+        0, f"r: 1\nbound: {v}\nbracket: ({v - Fraction(1, 10**9)}, {v}]\ndecimal: {shown}\n", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+def test_decimal_writes_a_float_as_format_g_does(x):
+    # format() rounds a float's exact value half to even, as _decimal does
+    assert _decimal(Fraction(x)) == f"{x:.12g}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**40), st.integers(1, 10**40), st.integers(-500, 500))
+def test_decimal_is_the_exact_value_rounded_to_12_digits(p, q, e):
+    v = Fraction(p, q) * Fraction(10) ** e
+    context = decimal.Context(prec=12, Emax=10**6, Emin=-10**6)
+    want = context.divide(decimal.Decimal(v.numerator), decimal.Decimal(v.denominator))
+    text = _decimal(v)
+    assert decimal.Decimal(text) == want
+    assert len(text.split("e")[0].replace(".", "").lstrip("0")) <= 12
 
 
 def test_order_cap_env(tmp_path, capsys, monkeypatch):

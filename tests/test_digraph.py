@@ -30,6 +30,7 @@ from zmx import (
     to_dot,
 )
 from zmx import digraph, matrix
+from zmx.errors import ORDER_CAP
 from zmx.matrix import _bareiss, _principal_minors
 from zmx.sampling import random_bdsw, random_nonsingular
 
@@ -233,6 +234,19 @@ def test_maybee_requires_nonsingular():
         maybee_entry(Matrix.zeros(2), 1, 2)
 
 
+def test_maybee_entry_fails_on_the_index_then_singularity_then_the_cap():
+    n = ORDER_CAP + 1
+    singular = Matrix.zeros(n)
+    with pytest.raises(ValueError):
+        maybee_entry(singular, 0, 1)
+    with pytest.raises(SingularMatrixError):
+        maybee_entry(singular, 1, 2)
+    with pytest.raises(OrderCapError):
+        maybee_entry(Matrix.identity(n), 1, 2)
+    # a diagonal entry is one minor, which the cap never guards
+    assert maybee_entry(Matrix.identity(n), 2, 2) == 1
+
+
 def path_formula(a, i, j):
     # the formula term by term over Fractions: one Path and one minor per path
     d = det(a)
@@ -255,6 +269,11 @@ def zero_heavy(draw):
     entry = st.builds(Fraction, st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3)),
                       st.sampled_from((1, 2, 3, 5, 7)))
     return Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def bdsw(draw):
+    return random_bdsw(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(2, 12)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -305,11 +324,11 @@ def sweep_fallbacks(grid, wanted=None):
 
 
 def off_path_sets(a, i, j):
-    """The off-path vertex masks of the paths from v_i to v_j (0-based)."""
+    """The off-path vertex masks of the paths from v_i to v_j (0-based) with
+    a nonzero signed sum."""
     n = a.n
     through = [k for k in range(n) if k not in (i, j)]
-    sums = digraph._path_sums(a._grid, i, through)
-    return {(1 << n) - 1 ^ on for on, ends in sums.items() if ends.get(j)}
+    return {(1 << n) - 1 ^ on for on in digraph._path_sums(a._grid, i, through, j)}
 
 
 def test_maybee_entry_shares_minors_between_paths(monkeypatch):
@@ -400,14 +419,23 @@ def test_maybee_inverse_fails_as_maybee_entry_does():
     assert digraph._maybee_inverse(mk([[4]]), cap=0) == mk([[Fraction(1, 4)]])
 
 
+def grouped_paths(a, i, j):
+    """{vertex mask: signed product sum} over the listed paths from v_i to v_j
+    (0-based), the zero sums dropped: the path formula grouped by brute force."""
+    want: dict[int, int] = {}
+    for p in enumerate_paths(digraph_of(a), i + 1, j + 1, cap=a.n):
+        mask = sum(1 << (v - 1) for v in p.vertices)
+        term = (-1) ** p.length
+        for u, w in zip(p.vertices, p.vertices[1:]):
+            term *= a._grid[u - 1][w - 1]
+        want[mask] = want.get(mask, 0) + term
+    return {m: s for m, s in want.items() if s}
+
+
 @settings(max_examples=150, deadline=None)
 @given(zero_heavy())
 def test_path_sums_group_the_listed_paths_by_vertex_set(a):
-    n, grid, d = a.n, a._grid, digraph_of(a)
-
-    def nonzero(sums, j):
-        return {m: ends[j] for m, ends in sums.items() if ends.get(j)}
-
+    n, grid = a.n, a._grid
     for i in range(n):
         # the row form passes through every vertex but i, and i ends only
         # the empty path
@@ -415,22 +443,22 @@ def test_path_sums_group_the_listed_paths_by_vertex_set(a):
         assert row[1 << i] == {i: 1}
         assert all(i not in ends for on, ends in row.items() if on != 1 << i)
         for j in range(n):
-            if i == j:
-                continue
-            want: dict[int, int] = {}
-            for p in enumerate_paths(d, i + 1, j + 1):
-                mask = sum(1 << (v - 1) for v in p.vertices)
-                term = (-1) ** p.length
-                for u, w in zip(p.vertices, p.vertices[1:]):
-                    term *= grid[u - 1][w - 1]
-                want[mask] = want.get(mask, 0) + term
-            want = {m: s for m, s in want.items() if s}
-            # the entry form passes through every vertex but i and j, so j
-            # only ever ends a path
-            entry = digraph._path_sums(grid, i, [k for k in range(n) if k not in (i, j)])
-            assert all(list(ends) == [j] for m, ends in entry.items() if m >> j & 1)
-            assert nonzero(entry, j) == want
-            assert nonzero(row, j) == want
+            if i != j:
+                got = {m: ends[j] for m, ends in row.items() if ends.get(j)}
+                assert got == grouped_paths(a, i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(zero_heavy(), bdsw()))
+def test_path_sums_into_j_group_the_listed_paths_by_vertex_set(a):
+    # the entry form passes through every vertex but i and j and hands back
+    # the nonzero sums of the paths into j only
+    n, grid = a.n, a._grid
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                through = [k for k in range(n) if k not in (i, j)]
+                assert digraph._path_sums(grid, i, through, j) == grouped_paths(a, i, j)
 
 
 @settings(max_examples=150, deadline=None)
@@ -509,11 +537,6 @@ def test_maybee_entry_sweeps_a_dense_entry(monkeypatch):
     assert maybee_entry(a, 2, 6) == want
     # the sweep stays off the endpoints v2 and v6
     assert sweeps == [[0b1011101, len(swept_sets(7, off_path_sets(a, 1, 5)))]]
-
-
-@st.composite
-def bdsw(draw):
-    return random_bdsw(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(2, 12)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -416,6 +416,29 @@ def test_perron_r_bisects_only_a_subset_that_can_win(monkeypatch):
         calls.clear()
 
 
+def test_perron_r_skips_the_first_test_under_the_collatz_wielandt_bound(monkeypatch):
+    b = mk([[0, 9, 0, 0], [1, 0, 0, 0], [0, 0, 0, 5], [0, 0, 0, 0]])
+    want = {tol: max(rho_bisect(sub_of(b, c), tol) for c in combinations(range(4), 2))
+            for tol in (TOL, TOL60)}
+    calls = []
+    weak_m = zclass._weak_m
+
+    def counted(m, *args):
+        calls.append(len(m))
+        return weak_m(m, *args)
+
+    monkeypatch.setattr(zclass, "_weak_m", counted)
+    # {1, 2} holds [[0, 9], [1, 0]], radius 3 and row sum 9: its first test,
+    # at t = 0, fails, and Newton and the probes below take three more.
+    # {3, 4} holds [[0, 5], [0, 0]], row sum 5 > 3, so it is not cut off, but
+    # x = (G + I) 1 = (6, 1) bounds its radius by max (G x)_i / x_i = 5/6 < 3:
+    # it takes no test where its first one would have passed
+    for tol in (TOL, TOL60):
+        calls.clear()
+        assert perron_r(b, 2, tol) == want[tol]
+        assert calls == [2] * 3
+
+
 def test_perron_r_restarts_from_the_top_point_when_newton_lands_below_rho(monkeypatch):
     # a wrong characteristic polynomial, y^r, walks Newton down to the best
     # point so far, below rho; the bisection must then start again from the
