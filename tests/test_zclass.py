@@ -429,7 +429,7 @@ def test_perron_r_skips_the_first_test_under_the_collatz_wielandt_bound(monkeypa
 
     monkeypatch.setattr(zclass, "_weak_m", counted)
     # {1, 2} holds [[0, 9], [1, 0]], radius 3 and row sum 9: its first test,
-    # at t = 0, fails, and Newton and the probes below take three more.
+    # at t = 0, fails, and the test after Newton and one probe take two more.
     # {3, 4} holds [[0, 5], [0, 0]], row sum 5 > 3, so it is not cut off, but
     # x = (G + I) 1 = (6, 1) bounds its radius by max (G x)_i / x_i = 5/6 < 3:
     # it takes no test where its first one would have passed
