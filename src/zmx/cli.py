@@ -2,9 +2,11 @@
 verification campaigns.
 
 Matrix files come in two shapes. Plain text is the order on the first line
-followed by that many rows of rational literals ("-4", "1/2"); JSON is
-{"n": int, "entries": [[string, ...], ...]}. Output sticks to exact
-rational strings except the perron command, which also shows a decimal.
+followed by that many rows of rational literals ("-4", "1/2"), a row ending
+at LF, CR LF or CR; JSON is {"n": int, "entries": [[string, ...], ...]}. Each
+literal is read by _literal, and output written by matrix._entry_strings, as
+exact rational strings, except the perron command's decimal. main lifts the
+interpreter's int <-> str digit limit, so values of any length pass.
 
 Exit codes: 0 success, 1 failed check or domain error, 2 usage/parse error,
 141 with nothing on stderr when a reader closes stdout early.
@@ -45,24 +47,27 @@ from zmx.errors import (
     OrderCapError,
     SingularMatrixError,
 )
-from zmx.matrix import Matrix, _cleared, inverse
+from zmx.matrix import Matrix, _cleared, _entry_strings, inverse
 from zmx.verify import CAMPAIGNS, run_verify
 from zmx.zclass import ClassReport, classify, is_z, perron_r
 
-_LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
-
-
 def _literal(token: str) -> tuple[int, int]:
-    """(numerator, denominator) of a rational literal, not reduced."""
-    m = _LITERAL.match(token)
-    if not m or (m.group(2) is not None and int(m.group(2)) == 0):
-        raise ValueError(f"bad rational literal {token!r}")
-    return int(m.group(1)), int(m.group(2) or 1)
+    """(numerator, denominator) of a rational literal p or p/q, not reduced:
+    p is decimal digits after an optional sign, q decimal digits, not zero."""
+    p, slash, q = token.partition("/")
+    if p.isdecimal() or p[1:].isdecimal() and p[0] in "+-":
+        if not slash:
+            return int(p), 1
+        if q.isdecimal() and (d := int(q)):
+            return int(p), d
+    raise ValueError(f"bad rational literal {token!r}")
 
 
 def _parse_text(text: str) -> Matrix:
-    lines = text.splitlines()
-    content = [(no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()]
+    # a row ends at \n, \r\n or \r; other line separators are whitespace in it
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    content = [(no, ln) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if not content:
         raise MatrixParseError("empty input", line=1, column=1)
     head_no, head = content[0]
@@ -80,12 +85,15 @@ def _parse_text(text: str) -> Matrix:
                                line=body[n][0], column=1)
     rows = []
     for no, line in body:
-        entries = []
-        for m in re.finditer(r"\S+", line):
-            try:
-                entries.append(_literal(m.group()))
-            except ValueError as exc:
-                raise MatrixParseError(str(exc), line=no, column=m.start() + 1) from None
+        try:
+            entries = list(map(_literal, line.split()))
+        except ValueError:
+            # scan the failing row again for the first bad literal's column
+            for m in re.finditer(r"\S+", line):
+                try:
+                    _literal(m.group())
+                except ValueError as exc:
+                    raise MatrixParseError(str(exc), line=no, column=m.start() + 1) from None
         if len(entries) != n:
             raise MatrixParseError(f"expected {n} entries in row, got {len(entries)}",
                                    line=no, column=1)
@@ -115,10 +123,13 @@ def _parse_json(text: str) -> Matrix:
             raise MatrixParseError(f"row {i} must hold {n} entries")
         out = []
         for j, cell in enumerate(row, start=1):
-            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+            if type(cell) is int:
+                out.append((cell, 1))
+                continue
+            if type(cell) is not str:
                 raise MatrixParseError(f"entry ({i},{j}) must be an integer or a rational string")
             try:
-                out.append(_literal(str(cell)))
+                out.append(_literal(cell))
             except ValueError as exc:
                 raise MatrixParseError(f"entry ({i},{j}): {exc}") from None
         rows.append(out)
@@ -137,9 +148,7 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def serialize_matrix(a: Matrix) -> str:
-    lines = [str(a.n)]
-    lines.extend(" ".join(str(x) for x in row) for row in a.rows)
-    return "\n".join(lines) + "\n"
+    return f"{a.n}\n" + "".join([" ".join(row) + "\n" for row in _entry_strings(a)])
 
 
 class CyclicInfo(namedtuple("CyclicInfo", "is_full is_inverse_cyclic is_bdsw d c d_minus_c verdict "
@@ -175,11 +184,11 @@ def _yn(flag: bool) -> str:
 
 
 def _json_value(x):
-    # Fractions as exact strings; a Matrix as its rows, whose Fractions come back here
+    # Fractions as exact strings; a Matrix as its rows of them
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, Matrix):
-        return x.rows
+        return _entry_strings(x)
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
@@ -422,6 +431,18 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # no int <-> str digit limit (3.10.7 on) while main runs, the caller's after
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str]) -> int:
     args = _parse_args(argv)
     try:
         env = os.environ.get("ZMX_ORDER_CAP")

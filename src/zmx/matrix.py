@@ -4,7 +4,9 @@ A matrix is stored as its canonical integer pair (L, G): L > 0 is the lcm of
 the entry denominators and G = L*A is an integer grid, so equal matrices
 have equal pairs. Floating point is rejected at the door, so no result here
 is ever approximate. Entries come back as fractions.Fraction, built from G
-each time rows, entry, str or repr ask for them. The public API is 1-based:
+each time rows or entry ask for them; str and repr, like the CLI's writers,
+take each entry's lowest-terms text from (L, G) by _entry_strings, one gcd
+per entry and no Fraction. The public API is 1-based:
 A[i, j] is the entry in row i, column j for 1 <= i, j <= n, matching the
 convention used in the docs, error messages and the CLI formats.
 
@@ -202,12 +204,31 @@ class Matrix:
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"Matrix({[[str(x) for x in row] for row in self.rows]})"
+        return f"Matrix({_entry_strings(self)})"
 
     def __str__(self) -> str:
-        cells = [[str(x) for x in row] for row in self.rows]
-        widths = [max(len(r[j]) for r in cells) for j in range(self.n)]
+        cells = _entry_strings(self)
+        widths = [max(map(len, col)) for col in zip(*cells)]
         return "\n".join(" ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)
+
+
+def _entry_strings(a: Matrix) -> list[list[str]]:
+    """The rows of a as str(Fraction) writes each entry: p/q in lowest terms,
+    or p. Each entry costs one gcd with L, and each quotient of L is written once."""
+    lcm = a._lcm
+    if lcm == 1:
+        return [list(map(str, row)) for row in a._grid]
+    gcd, dens, out = math.gcd, {lcm: ""}, []
+    for row in a._grid:
+        cells = []
+        for x in row:
+            g = gcd(x, lcm)
+            den = dens.get(g)
+            if den is None:
+                den = dens[g] = f"/{lcm // g}"
+            cells.append(f"{x // g}{den}")
+        out.append(cells)
+    return out
 
 
 def _is_index(v, n: int) -> bool:

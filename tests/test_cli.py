@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,13 +29,18 @@ from zmx.cli import (
     _COMMANDS,
     _decimal,
     _full_parser,
+    _literal,
     _parse_args,
+    _parse_json,
+    _parse_text,
+    _split_literals,
     emit_report,
     gather_info,
     main,
     parse_matrix,
     serialize_matrix,
 )
+from zmx.matrix import _cleared
 from zmx.sampling import random_matrix
 
 
@@ -113,6 +119,204 @@ def test_parse_json_errors():
     parse_error('{"n": 1, "entries": [[true]]}')
     parse_error('{"n": 1, "entries": [["x"]]}')
     parse_error('{"n":' + "[" * 100_000)  # nesting past the recursion limit
+
+
+# The regex converter and the splitlines parser that the partition-and-int
+# converter and the row splitter replaced, kept as differential oracles.
+
+ORACLE_LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+
+
+def oracle_literal(token):
+    m = ORACLE_LITERAL.match(token)
+    if not m or (m.group(2) is not None and int(m.group(2)) == 0):
+        raise ValueError(f"bad rational literal {token!r}")
+    return int(m.group(1)), int(m.group(2) or 1)
+
+
+def oracle_parse_text(text):
+    lines = text.splitlines()
+    content = [(no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()]
+    if not content:
+        raise MatrixParseError("empty input", line=1, column=1)
+    head_no, head = content[0]
+    head_tokens = head.split()
+    if len(head_tokens) != 1 or not head_tokens[0].isdecimal() or int(head_tokens[0]) < 1:
+        raise MatrixParseError("first line must be the order, a positive integer",
+                               line=head_no, column=1)
+    n = int(head_tokens[0])
+    body = content[1:]
+    if len(body) < n:
+        raise MatrixParseError(f"expected {n} rows, got {len(body)}",
+                               line=content[-1][0], column=1)
+    if len(body) > n:
+        raise MatrixParseError(f"unexpected extra row (order is {n})",
+                               line=body[n][0], column=1)
+    rows = []
+    for no, line in body:
+        entries = []
+        for m in re.finditer(r"\S+", line):
+            try:
+                entries.append(oracle_literal(m.group()))
+            except ValueError as exc:
+                raise MatrixParseError(str(exc), line=no, column=m.start() + 1) from None
+        if len(entries) != n:
+            raise MatrixParseError(f"expected {n} entries in row, got {len(entries)}",
+                                   line=no, column=1)
+        rows.append(entries)
+    return Matrix._from_grid(*_cleared(rows))
+
+
+def oracle_parse_json(text):
+    obj = json.loads(text)
+    n, grid = obj["n"], obj["entries"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise MatrixParseError('"n" must be a positive integer')
+    if not isinstance(grid, list) or len(grid) != n:
+        raise MatrixParseError(f'"entries" must hold {n} rows')
+    rows = []
+    for i, row in enumerate(grid, start=1):
+        if not isinstance(row, list) or len(row) != n:
+            raise MatrixParseError(f"row {i} must hold {n} entries")
+        out = []
+        for j, cell in enumerate(row, start=1):
+            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+                raise MatrixParseError(f"entry ({i},{j}) must be an integer or a rational string")
+            try:
+                out.append(oracle_literal(str(cell)))
+            except ValueError as exc:
+                raise MatrixParseError(f"entry ({i},{j}): {exc}") from None
+        rows.append(out)
+    return Matrix._from_grid(*_cleared(rows))
+
+
+class UsageError(Exception):
+    pass
+
+
+class StubParser:
+    def error(self, message):
+        raise UsageError(message)
+
+
+def oracle_split_literals(text):
+    fields = re.split(r"\s*,\s*|\s+", text.strip())
+    if "" in fields:
+        raise UsageError(f"argument --alpha: empty field in {text!r}")
+    return [Fraction(*oracle_literal(field)) for field in fields]
+
+
+def outcome(f, *args):
+    """What f(*args) returns, or its error: type, message, line and column."""
+    try:
+        return "ok", f(*args)
+    except (ValueError, UsageError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+# every whitespace character of the Basic Multilingual Plane, and the line
+# boundaries of str.splitlines; of those, a row ends only at \n, \r\n and \r
+WHITESPACE = [c for c in map(chr, range(0x10000)) if c.isspace()]
+LINE_BOUNDARIES = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+SEPARATORS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+ROW_SPACE = [c for c in WHITESPACE if c not in LINE_BOUNDARIES]
+DIGIT = st.one_of(st.sampled_from("0123456789"), st.characters(categories=["Nd"]))
+LITERAL_CHAR = st.one_of(
+    DIGIT, st.sampled_from("+-/_.x\u00b2\u2155"), st.sampled_from(WHITESPACE),
+)
+# p or p/q with optional sign, in any decimal digits; a zero q is invalid
+GOOD_LITERAL = st.builds(
+    lambda sign, p, q: sign + p + (q and "/" + q),
+    st.sampled_from(["", "+", "-"]), st.text(DIGIT, min_size=1, max_size=4),
+    st.one_of(st.just(""), st.text(DIGIT, min_size=1, max_size=3)),
+)
+BAD_LITERAL = st.text(LITERAL_CHAR.filter(lambda c: not c.isspace()), min_size=1, max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(LITERAL_CHAR, max_size=10))
+@example("-\u0663/\u0660")  # Arabic-Indic 3 over 0
+@example("1_0")
+@example("1/+2")
+@example("+-1")
+@example(" 1")
+@example("1\n")
+@example("1/2/3")
+@example("1" * 5000)  # too long for int(), with the interpreter's default limit
+@example("1/" + "1" * 5000)
+@example("-" + "1" * 5000 + "/0")
+def test_literal_accepts_what_the_regex_accepts(token):
+    assert outcome(_literal, token) == outcome(oracle_literal, token)
+
+
+@st.composite
+def matrix_file(draw):
+    """Text of an order-n file, maybe with a wrong order, row length or one
+    bad literal, its rows ending at LF, CR LF or CR, blank lines of any
+    whitespace but the separators str.splitlines also breaks at."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(GOOD_LITERAL) for _ in range(n + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))]
+            for _ in range(n + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))]
+    if rows and rows[-1] and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        if rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(BAD_LITERAL)
+    space = st.text(st.sampled_from(ROW_SPACE), min_size=1, max_size=2)
+    lines = [draw(st.sampled_from([str(n), str(n), "0", "x", f"{n} {n}"]))]
+    lines += [draw(space).join(row) for row in rows]
+    out = []
+    for line in lines:
+        out.append(draw(st.text(st.sampled_from(ROW_SPACE), max_size=1)) + line)
+        out.append(draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])))
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.text(st.sampled_from(ROW_SPACE), max_size=2)) + "\n")
+    return "".join(out)
+
+
+@settings(max_examples=250, deadline=None)
+@given(matrix_file())
+@example("2\n1/2 1\n1\n")
+@example("2\r\n1 2\r3 x\n")
+@example("\n\n  \n")
+@example("1\n" + "1" * 5000 + "\n")
+@example("1" * 5000 + "\n1\n")
+def test_parse_text_reads_as_the_splitlines_parser(text):
+    assert outcome(_parse_text, text) == outcome(oracle_parse_text, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(-1, 1), st.lists(st.one_of(
+    GOOD_LITERAL, BAD_LITERAL, st.text(LITERAL_CHAR, max_size=5),
+    st.integers(-10**30, 10**30), st.booleans(), st.none(), st.floats(allow_nan=False), st.just([])),
+    min_size=1, max_size=16))
+def test_parse_json_reads_as_the_regex_parser(n, skew, cells):
+    grid = [[cells[(i * n + j) % len(cells)] for j in range(n + (skew if i == n - 1 else 0))]
+            for i in range(n)]
+    text = json.dumps({"n": n, "entries": grid})
+    assert outcome(_parse_json, text) == outcome(oracle_parse_json, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(LITERAL_CHAR, st.just(",")), max_size=14))
+@example("1, 2 ,3")
+@example("1,,2")
+@example("1/2\u00a0-3")
+def test_list_options_read_as_the_regex_converter(text):
+    assert outcome(_split_literals, StubParser(), "--alpha", text) == outcome(oracle_split_literals, text)
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_only_newline_and_carriage_return_end_a_row(tmp_path, sep):
+    text = f"2\n1{sep}2\n3 4{sep}\n"
+    assert parse_matrix(text) == mk([[1, 2], [3, 4]])
+    assert parse_matrix(text.replace("\n", "\r\n")) == mk([[1, 2], [3, 4]])
+    assert parse_matrix(text.replace("\n", "\r")) == mk([[1, 2], [3, 4]])
+    e = parse_error(f"2\n1{sep}2\n3 4\n5 6\n")
+    assert (str(e), e.line) == ("unexpected extra row (order is 2) (line 4, column 1)", 4)
+    path = tmp_path / "m.txt"
+    path.write_bytes(f"2\r\n1 2{sep}\r3 x\n".encode())
+    assert run_main(["classify", str(path)]) == (
+        2, "", "parse error: bad rational literal 'x' (line 3, column 3)\n")
 
 
 def test_serialize_round_trips():
@@ -469,6 +673,65 @@ def test_perron_prints_the_decimal_at_any_magnitude(tmp_path, entry, shown):
         0, f"r: 1\nbound: {v}\nbracket: ({v - Fraction(1, 10**9)}, {v}]\ndecimal: {shown}\n", "")
 
 
+def test_values_of_any_length_are_read_and_printed(tmp_path):
+    # det = 10^6000 - 1 and the inverse's entries pass the interpreter's
+    # default limit of 4,300 digits for int <-> str, and so do the literals
+    # of the last three files; main lifts the limit while it runs
+    big, huge = "1" + "0" * 3000, "1" + "0" * 5000
+    two = write(tmp_path, "big.txt", f"2\n{big} 1\n1 {big}\n")
+    cases = [
+        ["classify", two],
+        ["classify", "--json", two],
+        ["perron", "--r", "1", "--tol", f"1/{huge}", write(tmp_path, "three.txt", "1\n3\n")],
+        ["invert", write(tmp_path, "huge.txt", f"1\n-{huge}/7\n")],
+        ["invert", write(tmp_path, "huge.json", f'{{"n": 1, "entries": [[{huge}]]}}')],
+        ["gen", "circulant", f"--alpha={huge},-1/{huge}"],
+    ]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    got = [run_main(argv) for argv in cases]
+    if limit:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        big, huge = int(big), int(huge)
+        a = Matrix([[big, 1], [1, big]])
+        report, info = gather_info(a)
+        tol = Fraction(1, huge)
+        want = [
+            emit_report(report, info) + "\n",
+            emit_report(report, info, "json") + "\n",
+            f"r: 1\nbound: 3\nbracket: ({3 - tol}, 3]\ndecimal: 3\n",
+            f"1\n{Fraction(-7, huge)}\n",
+            f"1\n1/{huge}\n",
+            f"2\n{huge} -1/{huge}\n-1/{huge} {huge}\n",
+        ]
+        det_line = f"(det = {big * big - 1})"
+        inv_row = [str(Fraction(big, big * big - 1)), str(Fraction(-1, big * big - 1))]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert got == [(0, out, "") for out in want]
+    assert det_line in got[0][1]
+    assert [line.split() for line in got[0][1].splitlines()[-2:]] == [inv_row, inv_row[::-1]]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit")
+def test_main_gives_back_the_callers_digit_limit(tmp_path):
+    path = write(tmp_path, "one.txt", "1\n" + "9" * 4500 + "\n")
+    limit = sys.get_int_max_str_digits()
+    try:
+        for caller in (640, 4400, 0):
+            sys.set_int_max_str_digits(caller)
+            code, out, err = run_main(["invert", path])
+            assert (code, len(out), err) == (0, 2 + 2 + 4500 + 1, "")
+            assert sys.get_int_max_str_digits() == caller
+            with pytest.raises(SystemExit):
+                run_main(["invert", "--method", "nope", path])
+            assert sys.get_int_max_str_digits() == caller
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
 def test_decimal_writes_a_float_as_format_g_does(x):
@@ -788,7 +1051,8 @@ def fraction_rows(text):
     if text.lstrip().startswith("{"):
         rows = json.loads(text)["entries"]
     else:
-        rows = [line.split() for line in text.splitlines() if line.strip()][1:]
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        rows = [line.split() for line in lines if line.strip()][1:]
     return [[Fraction(*map(int, str(cell).split("/"))) for cell in row] for row in rows]
 
 

@@ -4,10 +4,14 @@ A Matrix holds (L, G): L > 0 the lcm of the entry denominators and G = L*A
 an integer grid. These tests check every operation that works on G against
 a plain reference over tuples of Fraction written in this file, check that
 the pair is canonical whatever route built it, and check that the hot paths
-never build the Fraction rows of a matrix.
+never build the Fraction rows of a matrix, and check the one printer,
+_entry_strings, against str of each entry's Fraction.
 """
 
+import contextlib
+import json
 import math
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -25,6 +29,8 @@ from zmx import (
     is_inverse_cyclic,
     run_verify,
 )
+from zmx.cli import _json_value, serialize_matrix
+from zmx.matrix import _entry_strings
 
 # zero-heavy small rationals, so zero pivots, sparse products and singular
 # matrices are common
@@ -240,3 +246,50 @@ def test_hot_paths_never_build_fraction_rows(monkeypatch):
     monkeypatch.undo()
     assert got[:1] + (got[1].rows,) + got[2:4] + (got[4].rows,) == want
     assert summary.ok and summary.checks == 5 * 8
+
+
+@contextlib.contextmanager
+def any_int_length():
+    """No limit on int <-> str digits inside, where the interpreter has one."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def assert_printed_as_fractions(a):
+    want = [[str(Fraction(x, a._lcm)) for x in row] for row in a._grid]
+    assert _entry_strings(a) == want
+    assert want == [[str(x) for x in row] for row in a.rows]
+    assert str(a) == ref_str(a.rows)
+    assert repr(a) == f"Matrix({want})"
+    assert serialize_matrix(a) == "".join(" ".join(r) + "\n" for r in [[str(a.n)]] + want)
+    assert json.dumps(a, default=_json_value) == json.dumps(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_pair())
+def test_entry_strings_write_each_entry_as_its_fraction(pair):
+    a = Matrix(pair[0])
+    assert_printed_as_fractions(a)
+    if a._grid != tuple(tuple(0 for _ in row) for row in a._grid):
+        assert_printed_as_fractions(a * Fraction(7, 3 * a._lcm))
+
+
+def test_entry_strings_at_5000_digits_zeros_and_signs():
+    big = 10**5000 + 3
+    cases = [
+        Matrix.zeros(3),
+        Matrix([[0, -1], [Fraction(-1, 2), Fraction(3, 4)]]),
+        Matrix([[big, -big], [0, 1]]),
+        Matrix([[Fraction(1, big), Fraction(-big, 7)], [Fraction(-2, big), 0]]),
+        Matrix([[Fraction(big, big + 2), Fraction(-3, 5)], [Fraction(0), Fraction(big * 7, 3)]]),
+    ]
+    with any_int_length():
+        for a in cases:
+            assert_printed_as_fractions(a)
+            assert_printed_as_fractions(-a.transpose())

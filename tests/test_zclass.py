@@ -5,6 +5,7 @@ instance here is also cross-checked through the inverse-sign oracle route so
 the two characterizations stay independently verified.
 """
 
+import dis
 import inspect
 import math
 import random
@@ -443,15 +444,19 @@ def test_perron_r_restarts_from_the_top_point_when_newton_lands_below_rho(monkey
     # a wrong characteristic polynomial, y^r, walks Newton down to the best
     # point so far, below rho; the bisection must then start again from the
     # top point and certify the same value
-    lines, start = inspect.getsourcelines(zclass.perron_r)
-    fallback = start + [ln.strip() for ln in lines].index("hi = 1 << depth")
+    code = zclass.perron_r.__code__
+    # the line of the store hi = 1 << depth, read off the loaded code
+    ins = list(dis.get_instructions(code))
+    at = next(b.offset for a, b in zip(ins, ins[1:]) if b.opname == "STORE_FAST"
+              and b.argval == "hi" and (a.opname == "BINARY_LSHIFT" or a.argrepr == "<<"))
+    fallback = next(line for start, end, line in code.co_lines() if start <= at < end)
     cases = [(b, r, tol)
              for b, r in ((mk([[0, 1, 2], [3, 0, 1], [1, 1, 0]]), 2), (DOUBLE_ROOT, 2),
                           (DOUBLE_ROOT, 4), (mk([[1, 2, 0], [0, 1, 5], [3, 0, 2]]), 3))
              for tol in (Fraction(1, 7), TOL, TOL60)]
     want = [perron_r(*case) for case in cases]
     monkeypatch.setattr(zclass, "_charpoly", lambda g: [1] + [0] * len(g))
-    code, hits = zclass.perron_r.__code__, []
+    hits = []
 
     def trace(frame, event, arg):
         if frame.f_code is not code:
