@@ -51,6 +51,7 @@ from zmx.matrix import Matrix, _cleared, _entry_strings, inverse
 from zmx.verify import CAMPAIGNS, run_verify
 from zmx.zclass import ClassReport, classify, is_z, perron_r
 
+
 def _literal(token: str) -> tuple[int, int]:
     """(numerator, denominator) of a rational literal p or p/q, not reduced:
     p is decimal digits after an optional sign, q decimal digits, not zero."""
